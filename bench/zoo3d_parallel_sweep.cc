@@ -100,8 +100,8 @@ main(int argc, char **argv)
     bench::checkBand("PP boundary send moves prec*B*SL*H bytes",
                      p2p.bytesOnWire / boundary, 0.999, 1.001);
 
-    // --- incremental sweep engines vs the rebuild oracle ----------
-    // The cached and delta engines (DESIGN.md §16) must reproduce the
+    // --- delta sweep engine vs the rebuild oracle ----------------
+    // The delta engine (DESIGN.md §16) must reproduce the
     // per-point-rebuild study bit for bit, serial and parallel, with
     // the graph cache warm or cold — reuse is a pure perf change.
     const std::vector<core::EvolutionConfig> evo =
@@ -131,19 +131,14 @@ main(int argc, char **argv)
             return true;
         };
     bool identical = true;
-    for (const core::SweepEngine engine :
-         { core::SweepEngine::Cached, core::SweepEngine::Delta }) {
-        for (const exec::RunnerOptions &opts :
-             { one_job, four_jobs }) {
-            identical =
-                identical &&
-                matchesOracle(core::runSimulatedEvolutionStudy(
-                    system, evo, engine, opts));
-        }
+    for (const exec::RunnerOptions &opts : { one_job, four_jobs }) {
+        identical = identical &&
+                    matchesOracle(core::runSimulatedEvolutionStudy(
+                        system, evo, core::SweepEngine::Delta, opts));
     }
     const bool engines_ok = bench::checkClaim(
-        "cached and delta sweep engines match the rebuild oracle "
-        "bit for bit at --jobs 1 and 4",
+        "delta sweep engine matches the rebuild oracle bit for bit "
+        "at --jobs 1 and 4",
         identical);
 
     report.set("zoo_models", static_cast<double>(points.size()));

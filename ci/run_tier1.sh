@@ -18,18 +18,16 @@
 #                 fields. Only schema presence is asserted — never
 #                 timings, so a loaded CI host cannot flake the gate.
 #                 (The replay benches do assert bit-identity of the
-#                 compiled-replay vs rebuild engines — and of the
-#                 batched-SoA and delta-replay paths vs the
-#                 sequential oracle — which is host-independent.) The BENCH_*.json files are
-#                 collected under build-tier1/bench-artifacts/ as the
-#                 perf-trajectory artifact to upload.
+#                 compiled-replay and batched-SoA paths vs the
+#                 rebuild oracle, which is host-independent.) The
+#                 BENCH_*.json files are collected under
+#                 build-tier1/bench-artifacts/ as the perf-trajectory
+#                 artifact to upload.
 #   5. 3D-parallelism gate — the zoo3d_parallel_sweep bench must emit
-#                 the collective_lowering_* schema keys, `twocs sweep
-#                 --figure 12` under a full `--parallel` plan (flat
-#                 and hierarchical topology) must be byte-identical
-#                 across --jobs, and the deprecated collective/plan
-#                 shims must not be referenced outside their shim
-#                 files.
+#                 the collective_lowering_* schema keys, and `twocs
+#                 sweep --figure 12` under a full `--parallel` plan
+#                 (flat and hierarchical topology) must be
+#                 byte-identical across --jobs.
 #   6. loopback serve smoke — `twocs serve --listen` with a 2-deep
 #                 shard queue is saturated over TCP by the
 #                 svc_throughput --connect driver: every request must
@@ -91,13 +89,8 @@ grep -q '"pass_chain_tasks_per_sec_replay"' "${msp_json}"
 grep -q '"pass_chain_tasks_per_sec_replay_fused"' "${msp_json}"
 grep -q '"pass_fuse_speedup"' "${msp_json}"
 grep -q '"pass_fuse_compile_ms"' "${msp_json}"
-grep -q '"delta_replay_speedup"' "${msp_json}"
-grep -q '"delta_cone_frac"' "${msp_json}"
-grep -q '"delta_fallback_frac"' "${msp_json}"
 grep -q '"sweep_points_per_sec_rebuild"' "${msp_json}"
-grep -q '"sweep_points_per_sec_cached"' "${msp_json}"
 grep -q '"sweep_points_per_sec_delta"' "${msp_json}"
-grep -q '"graph_cache_hit_rate"' "${msp_json}"
 grep -q '"delta_sweep_speedup"' "${msp_json}"
 
 cj_json="${artifacts}/BENCH_cluster_jitter.json"
@@ -106,7 +99,6 @@ build-tier1/bench/cluster_jitter --jobs 2 --bench-json "${cj_json}"
 "${twocs}" validate --trace "${cj_json}"
 grep -q '"schema": "twocs-bench-1"' "${cj_json}"
 grep -q '"bench": "cluster_jitter"' "${cj_json}"
-grep -q '"trials_per_sec_rebuild"' "${cj_json}"
 grep -q '"trials_per_sec_replay"' "${cj_json}"
 grep -q '"trials_per_sec_batched"' "${cj_json}"
 grep -q '"batch_speedup"' "${cj_json}"
@@ -167,15 +159,11 @@ hier_two="$("${twocs}" sweep --figure 12 --parallel "${plan}" \
     --topology multi:8 --jobs 2)"
 [ "${hier_one}" = "${hier_two}" ]
 
-echo "== tier-1: incremental sweep engines byte-identical to rebuild =="
-# The cached and delta engines route through the process-wide graph
-# cache; their CLI output must match the per-point-rebuild oracle
-# byte for byte at any --jobs.
+echo "== tier-1: delta sweep engine byte-identical to rebuild =="
+# The delta engine compiles one graph per structure group and refills
+# its durations per point; its CLI output must match the
+# per-point-rebuild oracle byte for byte at any --jobs.
 f12_rebuild="$("${twocs}" sweep --figure 12 --engine rebuild --jobs 1)"
-[ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine cached \
-    --jobs 1)" ]
-[ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine cached \
-    --jobs 4)" ]
 [ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine delta \
     --jobs 1)" ]
 [ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine delta \
@@ -184,29 +172,6 @@ f12_rebuild="$("${twocs}" sweep --figure 12 --engine rebuild --jobs 1)"
 if "${twocs}" cluster --trials 4 --engine replay --lanes 4 \
     > /dev/null 2>&1; then
     echo "cluster accepted --lanes without --engine batched"
-    exit 1
-fi
-
-echo "== tier-1: deprecated collective wrappers stay shim-only =="
-# The per-kind CollectiveModel methods and simulateRingAllReduce are
-# one-release migration shims: only the shim sites themselves (and
-# their deprecation tests) may reference them.
-if grep -RnE '(->|\.)(allReduce|treeAllReduce|allGather|reduceScatter|broadcast|allToAll|hierarchicalAllReduce)\(' \
-    src bench tests --include='*.cc' --include='*.hh' \
-    | grep -v 'src/comm/collectives'; then
-    echo "deprecated CollectiveModel wrapper used outside the shim"
-    exit 1
-fi
-if grep -Rn 'simulateRingAllReduce' src bench tests \
-    --include='*.cc' --include='*.hh' \
-    | grep -v 'src/comm/ring_sim'; then
-    echo "deprecated simulateRingAllReduce used outside the shim"
-    exit 1
-fi
-if grep -Rn 'ParallelConfig' src bench tests \
-    --include='*.cc' --include='*.hh' \
-    | grep -v 'src/model/parallel.hh'; then
-    echo "deprecated ParallelConfig alias used outside the shim"
     exit 1
 fi
 

@@ -297,13 +297,10 @@ cmdCluster(const Args &args)
         core::TrialEngine engine = core::TrialEngine::CompiledReplay;
         if (engine_name == "replay")
             engine = core::TrialEngine::CompiledReplay;
-        else if (engine_name == "rebuild")
-            engine = core::TrialEngine::Rebuild;
         else if (engine_name == "batched")
             engine = core::TrialEngine::BatchedReplay;
         else
-            fatal("option --engine expects replay|rebuild|batched, "
-                  "got '",
+            fatal("option --engine expects replay|batched, got '",
                   engine_name, "'");
         fatalIf(args.has("lanes") &&
                     engine != core::TrialEngine::BatchedReplay,
@@ -426,9 +423,9 @@ cmdSweep(const Args &args)
             csv ? t.printCsv(std::cout) : t.print(std::cout);
         } else {
             // Ground truth on the event engine: rebuild is the
-            // per-point oracle, cached/delta reuse templates through
-            // the process-wide graph cache and stay byte-identical
-            // to it (DESIGN.md §16).
+            // per-point oracle, delta compiles one template per
+            // structure group and stays byte-identical to it
+            // (DESIGN.md §16).
             fatalIf(args.has("parallel"),
                     "--parallel only applies to --engine model: the "
                     "event-engine study runs each line at its "
@@ -930,7 +927,7 @@ buildRegistry()
                       { "trials", FlagType::Int, "1",
                         "independent jittered trials" },
                       { "engine", FlagType::String, "replay",
-                        "trial engine: replay|rebuild|batched" },
+                        "trial engine: replay|batched" },
                       { "lanes", FlagType::Int, "8",
                         "SoA lane width for --engine batched" },
                       { "passes", FlagType::String, "",
@@ -947,7 +944,7 @@ buildRegistry()
                         "graph pass pipeline (figure 14 only)" },
                       { "engine", FlagType::String, "model",
                         "figure 12 evaluation engine: "
-                        "model|rebuild|cached|delta" } },
+                        "model|rebuild|delta" } },
                     parallel, system, runner, trace }),
           cmdSweep });
     registry.push_back(

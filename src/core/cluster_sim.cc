@@ -324,7 +324,7 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
                 return replayTrial(*graph, jitterable, c, scratch,
                                    durations);
             });
-    } else if (engine == TrialEngine::BatchedReplay) {
+    } else {
         // Compile once, advance lane_width trials per SoA forward
         // pass. Blocks parallelize like trials did; within a block
         // each lane draws its trial's jitter stream in task order —
@@ -394,10 +394,6 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
         for (const std::vector<ClusterSimResult> &block : per_block)
             summary.trials.insert(summary.trials.end(), block.begin(),
                                   block.end());
-    } else {
-        summary.trials = runner.map(
-            trials,
-            [this](const ClusterSimConfig &c) { return run(c); });
     }
 
     for (const ClusterSimResult &r : summary.trials) {

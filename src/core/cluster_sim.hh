@@ -16,8 +16,8 @@
  * per-iteration layer graph once (sim::GraphTemplate) and maps
  * jittered duration vectors over the trials, one replay-scratch
  * arena per worker thread — a trial allocates nothing and
- * re-validates nothing. TrialEngine::Rebuild keeps the historical
- * build-per-trial path as the byte-identity reference.
+ * re-validates nothing. The byte-identity reference is run() mapped
+ * over the per-trial seeds, which rebuilds the graph every trial.
  */
 
 #ifndef TWOCS_CORE_CLUSTER_SIM_HH
@@ -105,17 +105,13 @@ enum class TrialEngine
     /** Compile the iteration graph once, replay a jittered duration
      *  vector per trial (zero per-trial allocation). The default. */
     CompiledReplay,
-    /** Rebuild the EventSimulator graph on every trial — the
-     *  historical path, kept as the measured baseline and the
-     *  byte-identity reference for the replay tests. */
-    Rebuild,
     /**
      * Compile once, then advance trials through sim::replayBatch in
      * lane blocks of runTrials' lane_width: one structure-of-arrays
      * forward pass per block instead of one graph walk per trial,
-     * parallelized over blocks. Bit-identical to the other engines
-     * at any jobs count and any lane width (each lane reproduces
-     * its trial's sequential op order exactly).
+     * parallelized over blocks. Bit-identical to CompiledReplay
+     * and to run() at any jobs count and any lane width (each lane
+     * reproduces its trial's sequential op order exactly).
      */
     BatchedReplay,
 };

@@ -38,8 +38,8 @@ evolutionCase(const SystemConfig &base, const EvolutionConfig &c)
     return cfg;
 }
 
-/** Evaluate one cell by replaying `graph` with `durations` (empty =
- *  the template's base durations) through a pooled scratch. */
+/** Evaluate one cell by replaying `graph` with `durations` through
+ *  a pooled scratch. */
 CaseStudyResult
 replayCase(const std::shared_ptr<const sim::GraphTemplate> &graph,
            std::span<const Seconds> durations)
@@ -64,28 +64,10 @@ sweepEngineFromName(const std::string &name)
         return SweepEngine::Model;
     if (name == "rebuild")
         return SweepEngine::Rebuild;
-    if (name == "cached")
-        return SweepEngine::Cached;
     if (name == "delta")
         return SweepEngine::Delta;
-    fatal("option --engine expects model|rebuild|cached|delta, got '",
+    fatal("option --engine expects model|rebuild|delta, got '",
           name, "'");
-}
-
-const char *
-sweepEngineName(SweepEngine engine)
-{
-    switch (engine) {
-      case SweepEngine::Model:
-        return "model";
-      case SweepEngine::Rebuild:
-        return "rebuild";
-      case SweepEngine::Cached:
-        return "cached";
-      case SweepEngine::Delta:
-        return "delta";
-    }
-    panic("unknown sweep engine");
 }
 
 SweepSpace
@@ -220,17 +202,6 @@ runSimulatedEvolutionStudy(const SystemConfig &base,
             SimulatedEvolutionPoint p;
             p.config = c;
             p.result = study.run(evolutionCase(base, c));
-            return p;
-        });
-    } else if (engine == SweepEngine::Cached) {
-        // Compile-once/replay-many per distinct structural key: the
-        // first point of a key pays the compile, every other point
-        // (and every later run in this process) replays.
-        points = runner.map(configs, [&](const EvolutionConfig &c) {
-            const CaseStudyConfig cfg = evolutionCase(base, c);
-            SimulatedEvolutionPoint p;
-            p.config = c;
-            p.result = replayCase(study.compileGraph(cfg), {});
             return p;
         });
     } else {

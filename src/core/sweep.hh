@@ -138,26 +138,21 @@ runHardwareEvolutionStudy(const SystemConfig &base,
  *  - Model: the operator-model projection (no task graph at all) —
  *    the historical default and the only engine for analytic grids.
  *  - Rebuild: build + run a fresh event-engine graph per point. The
- *    byte-identity oracle the incremental engines are gated against.
- *  - Cached: resolve each point's template through the process-wide
- *    sim::GraphCache and replay its base durations — compile once
- *    per distinct structural key, replay everywhere else.
- *  - Delta: additionally group points that share a structure and
- *    differ only in operator durations (the compute-scaling axis);
- *    one compile per group, then a per-point duration refill from
- *    the group's recipe plus one replay.
+ *    byte-identity oracle the delta engine is gated against.
+ *  - Delta: group points that share a structure and differ only in
+ *    operator durations (the compute-scaling axis); one compile per
+ *    group, then a per-point duration refill from the group's recipe
+ *    plus one replay.
  */
 enum class SweepEngine
 {
     Model,
     Rebuild,
-    Cached,
     Delta,
 };
 
-/** Parse "model|rebuild|cached|delta"; fatal() on anything else. */
+/** Parse "model|rebuild|delta"; fatal() on anything else. */
 SweepEngine sweepEngineFromName(const std::string &name);
-const char *sweepEngineName(SweepEngine engine);
 
 /** One Figure 12 cell evaluated on the event engine. */
 struct SimulatedEvolutionPoint
@@ -170,7 +165,7 @@ struct SimulatedEvolutionPoint
  * The hardware-evolution study on the event engine: every cell's
  * two-stream case-study iteration under its compute scaling,
  * evaluated with the chosen engine (Model is not valid here). The
- * three engines are bit-identical by construction and results come
+ * two engines are bit-identical by construction and results come
  * back in input order at any --jobs — the same determinism contract
  * as every other sweep.
  */

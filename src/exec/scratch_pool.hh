@@ -2,9 +2,9 @@
  * @file
  * Per-thread free-lists for replay scratch arenas.
  *
- * The incremental sweep engines evaluate thousands of cache-hit
- * points per worker; each point needs a scratch arena (a
- * sim::ReplayScratch, a duration vector) for a few microseconds. A
+ * The delta sweep engine and the service's perturb queries replay
+ * thousands of points per worker; each point needs a scratch arena
+ * (a sim::ReplayScratch, a duration vector) for a few microseconds. A
  * ScratchPool<T> keeps a small thread-local free-list of
  * default-constructed T's: acquire() pops one (or constructs the
  * first time), the returned Lease hands it back on destruction, and

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <fstream>
 #include <istream>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
@@ -12,6 +11,7 @@
 #include "core/case_study.hh"
 #include "core/slack.hh"
 #include "core/system_config.hh"
+#include "exec/scratch_pool.hh"
 #include "exec/thread_pool.hh"
 #include "hw/catalog.hh"
 #include "model/layer_graph.hh"
@@ -142,25 +142,20 @@ struct QueryService::SystemEntry
 };
 
 /**
- * One case-study graph resident for delta-replay what-ifs: the
- * compiled two-stream template, a base replay at template durations
- * (the reference placements every perturbation diffs against) and
- * the delta scratch carrying the cone walk's arena. Workers mutate
- * the scratch, so evaluate() serializes perturb queries on `mu`;
- * response bytes depend only on the query and the deterministic
- * graph, so the determinism contract is unaffected.
+ * One case-study graph resident for what-if queries: the compiled
+ * two-stream template and a base replay at template durations (the
+ * reference placements every perturbation diffs against). Both are
+ * immutable after construction, so workers read them without
+ * locking; each query replays into its own pooled scratch.
  */
 struct QueryService::PerturbEntry
 {
     std::shared_ptr<const sim::GraphTemplate> graph;
     sim::ReplayScratch base;
-    sim::DeltaScratch delta;
-    std::mutex mu;
 
     explicit PerturbEntry(std::shared_ptr<const sim::GraphTemplate> g)
         : graph(std::move(g))
     {
-        base.bind(*graph);
         sim::replay(*graph, {}, base);
     }
 };
@@ -371,27 +366,31 @@ QueryService::evaluate(const Query &query, const SystemEntry &entry,
                 tasks, " tasks (0..", tasks - 1, ")");
         const auto task =
             static_cast<sim::TaskId>(query.perturbTask);
-        const Seconds new_duration =
+        // One full replay with the task's duration rescaled, into
+        // arenas leased from this thread's pool.
+        const exec::ScratchPool<std::vector<Seconds>>::Lease
+            durations = exec::ScratchPool<
+                std::vector<Seconds>>::acquire();
+        const exec::ScratchPool<sim::ReplayScratch>::Lease scratch =
+            exec::ScratchPool<sim::ReplayScratch>::acquire();
+        *durations = graph.baseDurations();
+        (*durations)[static_cast<std::size_t>(task)] =
             graph.baseDuration(task) * query.perturbScale;
-        Seconds perturbed = 0.0;
-        Seconds base_makespan = 0.0;
+        scratch->bind(graph);
+        sim::replay(graph, *durations, *scratch);
+        const Seconds perturbed = scratch->makespan();
+        const Seconds base_makespan = perturb->base.makespan();
+        // The cone: tasks whose end time moved off the base replay.
         std::int64_t cone_tasks = 0;
-        double cone_fraction = 0.0;
-        bool full_replay = false;
-        {
-            // The delta scratch is shared mutable state; perturb
-            // queries against one entry serialize here while other
-            // workers keep evaluating unrelated queries.
-            std::lock_guard<std::mutex> lock(perturb->mu);
-            perturbed =
-                sim::replayDelta(graph, perturb->base, task,
-                                 new_duration, perturb->delta);
-            base_makespan = perturb->delta.baseMakespan();
-            cone_tasks = static_cast<std::int64_t>(
-                perturb->delta.coneSize());
-            cone_fraction = perturb->delta.coneFraction();
-            full_replay = perturb->delta.usedFullReplay();
-        }
+        const std::vector<sim::ScheduledTask> &base_placed =
+            perturb->base.placements();
+        const std::vector<sim::ScheduledTask> &placed =
+            scratch->placements();
+        for (std::size_t i = 0; i < placed.size(); ++i)
+            cone_tasks += placed[i].end != base_placed[i].end ? 1 : 0;
+        const double cone_fraction =
+            static_cast<double>(cone_tasks) /
+            static_cast<double>(tasks);
         std::string out = "\"status\":\"ok\",\"kind\":\"perturb\"";
         out += field("hidden", query.hidden);
         out += field("seqlen", query.seqLen);
@@ -406,7 +405,7 @@ QueryService::evaluate(const Query &query, const SystemEntry &entry,
         out += field("delta_seconds", perturbed - base_makespan);
         out += field("cone_tasks", cone_tasks);
         out += field("cone_fraction", cone_fraction);
-        out += field("full_replay", full_replay);
+        out += field("full_replay", true);
         return out;
       }
       case QueryKind::Stats:

@@ -146,7 +146,7 @@ class QueryService
   private:
     /** One system's resident calibrated analyses. */
     struct SystemEntry;
-    /** One case-study graph resident for delta-replay what-ifs. */
+    /** One case-study graph resident for perturb what-ifs. */
     struct PerturbEntry;
 
     void processBatch(NumberedLines &&lines, std::ostream &out);
@@ -162,9 +162,8 @@ class QueryService
     PerturbEntry &perturbFor(const Query &query,
                              const SystemEntry &system);
 
-    /** Per-query evaluation; safe to call from workers. Pure except
-     *  for perturb queries, which serialize on their entry's mutex
-     *  (the delta scratch is shared mutable state). */
+    /** Per-query evaluation; pure, so safe to call from workers
+     *  (perturb queries only read their resident entry). */
     static std::string evaluate(const Query &query,
                                 const SystemEntry &system,
                                 PerturbEntry *perturb);

@@ -145,7 +145,7 @@ TEST(CliRegistry, GoldenHelpPageForSweep)
         "  --passes STR            graph pass pipeline (figure 14"
         " only)\n"
         "  --engine STR            figure 12 evaluation engine:"
-        " model|rebuild|cached|delta (default: model)\n"
+        " model|rebuild|delta (default: model)\n"
         "  --parallel STR          3D plan, e.g."
         " tp=8,pp=4,dp=2,zero=1,ep=8\n"
         "  --device STR            hardware catalog device name"
@@ -222,11 +222,12 @@ TEST(CliRegistry, ClusterRejectsLanesWithoutBatchedEngine)
                        "--engine", "replay", "--lanes", "4" },
                      nullptr),
                  FatalError);
-    EXPECT_THROW(run({ "twocs", "cluster", "--trials", "4",
-                       "--engine", "rebuild", "--lanes", "4" },
-                     nullptr),
-                 FatalError);
     EXPECT_THROW(run({ "twocs", "cluster", "--lanes", "4" }, nullptr),
+                 FatalError);
+    // The build-per-trial oracle lives in the tests, not the CLI.
+    EXPECT_THROW(run({ "twocs", "cluster", "--trials", "4",
+                       "--engine", "rebuild" },
+                     nullptr),
                  FatalError);
     // The flag stays accepted where it means something.
     std::string out;
@@ -245,8 +246,12 @@ TEST(CliRegistry, SweepEngineFlagIsValidated)
                        "warp" },
                      nullptr),
                  FatalError);
-    EXPECT_THROW(run({ "twocs", "sweep", "--figure", "10", "--engine",
+    EXPECT_THROW(run({ "twocs", "sweep", "--figure", "12", "--engine",
                        "cached" },
+                     nullptr),
+                 FatalError);
+    EXPECT_THROW(run({ "twocs", "sweep", "--figure", "10", "--engine",
+                       "delta" },
                      nullptr),
                  FatalError);
     // The event-engine study rejects --parallel (it runs each model

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the process-wide compiled-graph cache (sim/graph_cache.hh)
- * and the pooled scratch arenas the incremental sweep engines replay
+ * and the pooled scratch arenas the delta sweep engine replays
  * through: key equality vs shard hashing, LRU eviction order,
  * concurrent getOrCompile stress, pool reuse under the bind()
- * contract, and the engine bit-identity gate (rebuild vs cached vs
- * delta at several --jobs, cache on and forced-miss).
+ * contract, and the engine bit-identity gate (rebuild vs delta at
+ * several --jobs, cache on and forced-miss).
  */
 
 #include <gtest/gtest.h>
@@ -286,8 +286,8 @@ class SharedCacheGuard
 
 TEST(GraphCacheSweep, EnginesBitIdenticalAcrossJobsAndCapacity)
 {
-    // The incremental-engine gate: rebuild (per-point oracle), cached
-    // and delta must agree bit for bit, at --jobs 1/2/4, with the
+    // The incremental-engine gate: rebuild (per-point oracle) and
+    // delta must agree bit for bit, at --jobs 1/2/4, with the
     // cache warm, cleared, and disabled (forced miss). A smaller
     // flop-scale axis keeps the oracle cheap; it still exercises the
     // structure-sharing groups the delta engine batches.
@@ -336,10 +336,6 @@ TEST(GraphCacheSweep, EnginesBitIdenticalAcrossJobsAndCapacity)
             const std::string tag = "capacity " +
                                     std::to_string(capacity) +
                                     " jobs " + std::to_string(jobs);
-            expectIdentical(
-                core::runSimulatedEvolutionStudy(
-                    sys, configs, core::SweepEngine::Cached, runner),
-                "cached " + tag);
             expectIdentical(
                 core::runSimulatedEvolutionStudy(
                     sys, configs, core::SweepEngine::Delta, runner),

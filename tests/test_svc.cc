@@ -7,6 +7,7 @@
  * byte-for-byte), and the `twocs serve` CLI surface.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,8 @@
 #include "cli/commands.hh"
 #include "core/amdahl.hh"
 #include "core/case_study.hh"
+#include "net/framer.hh"
+#include "net/stream.hh"
 #include "sim/graph.hh"
 #include "svc/cache.hh"
 #include "svc/protocol.hh"
@@ -674,8 +677,10 @@ TEST(SvcProtoV3, StatsCountDeprecatedFieldRequests)
 
 TEST(SvcPerturb, ResponseMatchesDeltaReplay)
 {
-    // The serve endpoint must report exactly what the library's
-    // delta-replay computes for the same case-study graph.
+    // The serve endpoint must report exactly what one full replay of
+    // the case-study graph with the task rescaled computes, for every
+    // task: makespans bit for bit, and a cone that counts the tasks
+    // whose end time moved off the base replay.
     core::CaseStudyConfig cfg;
     cfg.hidden = 8192;
     cfg.seqLen = 2048;
@@ -686,33 +691,93 @@ TEST(SvcPerturb, ResponseMatchesDeltaReplay)
     const std::shared_ptr<const sim::GraphTemplate> graph =
         study.compileGraph(cfg);
     sim::ReplayScratch base;
-    base.bind(*graph);
     sim::replay(*graph, {}, base);
-    sim::DeltaScratch delta;
-    const Seconds expected = sim::replayDelta(
-        *graph, base, 3, graph->baseDuration(3) * 1.5, delta);
+    const std::size_t n = graph->numTasks();
 
     svc::QueryService service;
-    const std::string response = service.handle(
-        "{\"kind\": \"perturb\", \"perturb\": {\"task\": 3, "
-        "\"scale\": 1.5}}");
-    EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos)
-        << response;
-    EXPECT_NE(response.find("\"base_seconds\":" +
-                            json::number(base.makespan())),
-              std::string::npos)
-        << response;
-    EXPECT_NE(response.find("\"perturbed_seconds\":" +
-                            json::number(expected)),
-              std::string::npos)
-        << response;
-    EXPECT_NE(response.find("\"cone_tasks\":"), std::string::npos);
+    sim::ReplayScratch oracle;
+    std::vector<Seconds> durations;
+    for (const char *scale : { "0.5", "1.5" }) {
+        for (std::size_t task = 0; task < n; ++task) {
+            durations = graph->baseDurations();
+            durations[task] *= std::stod(scale);
+            sim::replay(*graph, durations, oracle);
+            std::int64_t cone = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                cone += oracle.placements()[i].end !=
+                                base.placements()[i].end
+                            ? 1
+                            : 0;
+
+            const std::string response = service.handle(
+                "{\"kind\": \"perturb\", \"perturb\": {\"task\": " +
+                std::to_string(task) + ", \"scale\": " + scale + "}}");
+            ASSERT_NE(response.find("\"status\":\"ok\""),
+                      std::string::npos)
+                << response;
+            EXPECT_NE(response.find("\"base_seconds\":" +
+                                    json::number(base.makespan()) +
+                                    ","),
+                      std::string::npos)
+                << response;
+            EXPECT_NE(response.find("\"perturbed_seconds\":" +
+                                    json::number(oracle.makespan()) +
+                                    ","),
+                      std::string::npos)
+                << response;
+            EXPECT_NE(response.find("\"cone_tasks\":" +
+                                    std::to_string(cone) + ","),
+                      std::string::npos)
+                << response;
+            EXPECT_NE(response.find("\"full_replay\":true"),
+                      std::string::npos)
+                << response;
+        }
+    }
 
     // Repeats are byte-identical (and cacheable like any query).
-    EXPECT_EQ(response,
-              service.handle(
-                  "{\"kind\": \"perturb\", \"perturb\": {\"task\": "
-                  "3, \"scale\": 1.5}}"));
+    const std::string line = "{\"kind\": \"perturb\", \"perturb\": "
+                             "{\"task\": 3, \"scale\": 1.5}}";
+    EXPECT_EQ(service.handle(line), service.handle(line));
+}
+
+TEST(SvcPerturb, MixedStreamByteIdenticalAcrossJobs)
+{
+    // Distinct perturb misses against one resident graph evaluate
+    // concurrently on the workers, each replaying into its own pooled
+    // scratch; the response stream must not depend on --jobs.
+    std::string input;
+    for (int i = 0; i < 48; ++i) {
+        const int tp = i % 3 == 0 ? 8 : 16;
+        input += "{\"id\": " + std::to_string(i) +
+                 ", \"kind\": \"perturb\", \"parallel\": {\"tp\": " +
+                 std::to_string(tp) + ", \"dp\": 4}, \"perturb\": "
+                 "{\"task\": " + std::to_string((i * 37) % 200) +
+                 ", \"scale\": " + (i % 2 == 0 ? "1.25" : "0.75") +
+                 "}}\n";
+        if (i % 16 == 15)
+            input += "{\"kind\": \"project\"}\n{\"kind\": \"stats\"}\n";
+    }
+    input += "{\"kind\": \"perturb\", \"perturb\": {\"task\": "
+             "1000000}}\n";
+
+    const auto serve = [&](int jobs) {
+        svc::ServiceOptions options;
+        options.jobs = jobs;
+        options.batchCapacity = 8;
+        svc::QueryService service(options);
+        std::istringstream in(input);
+        std::ostringstream out;
+        (void)net::serveStream(service, in, out,
+                               net::LineFramer::kDefaultMaxLineBytes);
+        return out.str();
+    };
+    const std::string serial = serve(1);
+    EXPECT_EQ(serial, serve(4));
+    EXPECT_EQ(std::count(serial.begin(), serial.end(), '\n'), 55);
+    EXPECT_NE(serial.find("\"id\":47,\"status\":\"ok\""),
+              std::string::npos)
+        << serial;
 }
 
 TEST(SvcPerturb, ParseDiagnostics)
