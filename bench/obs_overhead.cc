@@ -7,15 +7,18 @@
  * obs/obs.hh — one relaxed atomic load and a branch per site — so
  * instrumentation can stay in hot paths unconditionally.
  *
- * Methodology: min-of-reps on both variants (min is the standard
- * noise-robust statistic for microbenches), with a few whole-trial
- * retries so a background scheduling blip cannot fail the gate.
+ * Methodology: many paired rounds, each timing the plain loop and
+ * the span-site loop back to back, alternating which runs first so
+ * drift in host load cannot favor either side. The gate judges the
+ * median of the per-pair ratios: a pair shares one load level, and
+ * the median ignores the pairs a scheduling blip lands in.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "bench_common.hh"
 #include "obs/obs.hh"
@@ -56,22 +59,15 @@ loopWithSpanSites(int iterations)
     return acc;
 }
 
-/** Best-of-`reps` wall time of `fn(iterations)` in seconds. */
+/** Wall time of one `fn(iterations)` call in seconds. */
 template <typename Fn>
 double
-minSeconds(Fn fn, int iterations, int reps)
+seconds(Fn fn, int iterations)
 {
     using Clock = std::chrono::steady_clock;
-    double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
-        const auto start = Clock::now();
-        g_sink = g_sink + fn(iterations);
-        const double s =
-            std::chrono::duration<double>(Clock::now() - start)
-                .count();
-        best = std::min(best, s);
-    }
-    return best;
+    const auto start = Clock::now();
+    g_sink = g_sink + fn(iterations);
+    return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 } // namespace
@@ -83,22 +79,28 @@ main()
                   "disabled span sites must cost < 1% of a hot loop");
 
     obs::Tracer::disable();
-    const int iterations = 20000;
-    const int reps = 11;
+    const int iterations = 5000;
+    const int pairs = 401;
     const double limit = 1.01;
 
-    double ratio = 1e300;
-    for (int attempt = 0; attempt < 3 && ratio >= limit; ++attempt) {
-        // Interleave-order the variants across attempts so drift in
-        // machine load cannot systematically favor either side.
-        const double with_spans =
-            minSeconds(loopWithSpanSites, iterations, reps);
-        const double plain = minSeconds(loopPlain, iterations, reps);
-        ratio = with_spans / plain;
-        std::printf("attempt %d: plain %.3f ms, with spans %.3f ms, "
-                    "ratio %.4f\n",
-                    attempt, plain * 1e3, with_spans * 1e3, ratio);
+    std::vector<double> ratios(pairs);
+    for (int i = 0; i < pairs; ++i) {
+        double plain = 0.0, with_spans = 0.0;
+        if (i % 2 == 0) {
+            plain = seconds(loopPlain, iterations);
+            with_spans = seconds(loopWithSpanSites, iterations);
+        } else {
+            with_spans = seconds(loopWithSpanSites, iterations);
+            plain = seconds(loopPlain, iterations);
+        }
+        ratios[static_cast<std::size_t>(i)] = with_spans / plain;
     }
+    std::sort(ratios.begin(), ratios.end());
+    const double ratio = ratios[pairs / 2];
+    std::printf("%d pairs of %d units: median ratio %.4f "
+                "(quartiles %.4f, %.4f)\n",
+                pairs, iterations, ratio, ratios[pairs / 4],
+                ratios[3 * pairs / 4]);
 
     const bool ok = bench::checkClaim(
         "runtime-disabled span sites add < 1% to a hot loop",

@@ -83,8 +83,8 @@ benchJsonMain(const std::string &json_path)
                       "engine bit for bit",
                       identical);
 
-    // The SoA-batched path over the same arrival vectors: one
-    // replayBatch block walk instead of 64 sequential replays.
+    // The batched path over the same arrival vectors: 16 four-lane
+    // walks instead of 64 sequential replays.
     const std::vector<comm::RingSimResult> batched_results =
         comm::simulateRingCollectiveBatch(topo, payload, arrivals);
     bool batch_identical =

@@ -7,6 +7,8 @@
 #                 suites (exec ThreadPool/parallelFor/
 #                 ParallelSweepRunner, the svc query service and the
 #                 obs tracer) under TSan.
+#      `asan`   — AddressSanitizer + UndefinedBehaviorSanitizer build;
+#                 runs the whole suite. Any report fails the gate.
 #   3. obs gate — a traced sweep must produce a trace.json that the
 #                 strict parser accepts, and span sites that are
 #                 compiled in but disabled must stay under 1%
@@ -18,7 +20,7 @@
 #                 fields. Only schema presence is asserted — never
 #                 timings, so a loaded CI host cannot flake the gate.
 #                 (The replay benches do assert bit-identity of the
-#                 compiled-replay and batched-SoA paths vs the
+#                 compiled-replay and lane-walk paths vs the
 #                 rebuild oracle, which is host-independent.) The
 #                 BENCH_*.json files are collected under
 #                 build-tier1/bench-artifacts/ as the perf-trajectory
@@ -51,6 +53,9 @@ cmake --workflow --preset tier1
 
 echo "== tier-1: ThreadSanitizer (exec + svc + obs) =="
 cmake --workflow --preset tsan
+
+echo "== tier-1: AddressSanitizer + UBSan (full suite) =="
+cmake --workflow --preset asan
 
 echo "== tier-1: traced sweep produces strictly valid JSON =="
 twocs=build-tier1/src/cli/twocs
@@ -100,8 +105,6 @@ build-tier1/bench/cluster_jitter --jobs 2 --bench-json "${cj_json}"
 grep -q '"schema": "twocs-bench-1"' "${cj_json}"
 grep -q '"bench": "cluster_jitter"' "${cj_json}"
 grep -q '"trials_per_sec_replay"' "${cj_json}"
-grep -q '"trials_per_sec_batched"' "${cj_json}"
-grep -q '"batch_speedup"' "${cj_json}"
 
 ss_json="${artifacts}/BENCH_straggler_study.json"
 rm -f "${ss_json}"
@@ -137,16 +140,22 @@ grep -q '"collective_lowering_pp_p2p_bytes"' "${zoo_json}"
 grep -q '"collective_lowering_ar_wire_bytes"' "${zoo_json}"
 grep -q '"sweep_engines_bit_identical": 1' "${zoo_json}"
 
-echo "== tier-1: batched trial engine byte-identical to replay at any --jobs =="
-cluster_flags="--trials 8 --jitter 0.05 --tp 4"
-seq_out="$("${twocs}" cluster ${cluster_flags} --engine replay --jobs 1)"
-[ "${seq_out}" = "$("${twocs}" cluster ${cluster_flags} \
-    --engine batched --lanes 4 --jobs 1)" ]
-[ "${seq_out}" = "$("${twocs}" cluster ${cluster_flags} \
-    --engine batched --lanes 4 --jobs 4)" ]
-# An odd lane width leaves a partial tail block; output must not care.
-[ "${seq_out}" = "$("${twocs}" cluster ${cluster_flags} \
-    --engine batched --lanes 3 --jobs 4)" ]
+echo "== tier-1: cluster trials byte-identical across --jobs and lane blocks =="
+# runTrials walks four trials per lane block: 8 trials fill two
+# blocks, 7 leave a partial tail block. Neither may depend on --jobs.
+cluster_flags="--jitter 0.05 --tp 4"
+for n in 8 7; do
+    [ "$("${twocs}" cluster --trials "${n}" ${cluster_flags} --jobs 1)" \
+        = "$("${twocs}" cluster --trials "${n}" ${cluster_flags} \
+            --jobs 4)" ]
+done
+# There is one trial engine: the old selector and lane width are gone.
+for flag in --engine --lanes; do
+    if "${twocs}" cluster --trials 4 "${flag}" 4 > /dev/null 2>&1; then
+        echo "cluster accepted ${flag}"
+        exit 1
+    fi
+done
 
 echo "== tier-1: 3D-plan sweeps byte-identical across --jobs =="
 plan="tp=8,pp=4,dp=2,zero=1"
@@ -168,12 +177,6 @@ f12_rebuild="$("${twocs}" sweep --figure 12 --engine rebuild --jobs 1)"
     --jobs 1)" ]
 [ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine delta \
     --jobs 4)" ]
-# --lanes outside the batched trial engine is a configuration error.
-if "${twocs}" cluster --trials 4 --engine replay --lanes 4 \
-    > /dev/null 2>&1; then
-    echo "cluster accepted --lanes without --engine batched"
-    exit 1
-fi
 
 echo "== tier-1: loopback serve smoke (shed under saturation, clean drain) =="
 serve_log="build-tier1/ci_serve.log"

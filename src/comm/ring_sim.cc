@@ -38,9 +38,8 @@ struct CompiledRing
     const std::vector<int> *fillDevice = nullptr;
     sim::ReplayScratch *scratch = nullptr;
     std::vector<Seconds> *durations = nullptr;
-    /** Batched-replay buffers (simulateRingCollectiveBatch). */
-    sim::BatchScratch *batch = nullptr;
-    std::vector<Seconds> *durationsSoa = nullptr;
+    /** Lane-walk buffers (simulateRingCollectiveBatch). */
+    sim::LaneScratch *lanes = nullptr;
 };
 
 /** Per-thread replay buffers, shared across every ring key the
@@ -54,8 +53,7 @@ struct RingBuffers
     std::shared_ptr<const sim::GraphTemplate> bound;
     sim::ReplayScratch scratch;
     std::vector<Seconds> durations;
-    sim::BatchScratch batch;
-    std::vector<Seconds> durationsSoa;
+    sim::LaneScratch lanes;
 };
 
 /** Build the stepped ring graph: arrival task per device, then
@@ -151,6 +149,7 @@ compiledRingFor(int p, int steps, const sim::PassPipeline *passes)
     if (buffers.bound.get() != cached.graph.get()) {
         buffers.bound = cached.graph;
         buffers.scratch.bind(*cached.graph);
+        buffers.lanes.bind(*cached.graph);
     }
     buffers.durations.resize(cached.graph->numTasks());
 
@@ -161,8 +160,7 @@ compiledRingFor(int p, int steps, const sim::PassPipeline *passes)
     ring.fillDevice = &ring.aux->fillDevice;
     ring.scratch = &buffers.scratch;
     ring.durations = &buffers.durations;
-    ring.batch = &buffers.batch;
-    ring.durationsSoa = &buffers.durationsSoa;
+    ring.lanes = &buffers.lanes;
     return ring;
 }
 
@@ -326,41 +324,38 @@ simulateRingCollectiveBatch(
     const CompiledRing ring =
         compiledRingFor(p, steps, options.passes);
     const std::vector<Seconds> &base = ring.graph->baseDurations();
-    const std::size_t n = base.size();
 
-    // Lane blocks bound the SoA buffer: ring graphs are tiny, so 32
-    // lanes keep a block well inside cache while amortizing the
-    // graph walk.
-    constexpr std::size_t MaxLanes = 32;
+    // One lane walk per sim::LaneWidth arrival vectors; a narrower
+    // tail block pads its spare lanes with the block's first vector
+    // and drops their results.
+    constexpr std::size_t W = sim::LaneWidth;
     for (std::size_t first = 0; first < arrival_sets.size();
-         first += MaxLanes) {
+         first += W) {
         const std::size_t lanes =
-            std::min(MaxLanes, arrival_sets.size() - first);
-        ring.durationsSoa->resize(n * lanes);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t l = 0; l < lanes; ++l) {
-                (*ring.durationsSoa)[i * lanes + l] =
-                    (*ring.fillDevice)[i] >= 0
-                        ? arrival_sets[first + l]
-                                      [static_cast<std::size_t>(
-                                          (*ring.fillDevice)[i])]
-                        : base[i] * step_time;
-            }
-        }
-        ring.batch->bind(*ring.graph, lanes);
-        sim::replayBatch(*ring.graph, *ring.durationsSoa, lanes,
-                         *ring.batch);
+            std::min(W, arrival_sets.size() - first);
+        const std::vector<Seconds> *block[W];
+        for (std::size_t l = 0; l < W; ++l)
+            block[l] = &arrival_sets[first + (l < lanes ? l : 0)];
+        sim::replayLanes(
+            *ring.graph, *ring.lanes,
+            [&](std::size_t i, Seconds(&dur)[W]) {
+                const int device = (*ring.fillDevice)[i];
+                for (std::size_t l = 0; l < W; ++l)
+                    dur[l] = device >= 0
+                                 ? (*block[l])[static_cast<std::size_t>(
+                                       device)]
+                                 : base[i] * step_time;
+            });
 
         for (std::size_t l = 0; l < lanes; ++l) {
-            const std::vector<Seconds> &arrivals =
-                arrival_sets[first + l];
+            const std::vector<Seconds> &arrivals = *block[l];
             RingSimResult &result = results[first + l];
             result.deviceFinish.resize(p);
             Seconds latest_arrival = 0.0;
             Seconds earliest_arrival = 1e300;
             for (int d = 0; d < p; ++d) {
                 result.deviceFinish[d] =
-                    ring.batch->taskEnd((*ring.finals)[d], l);
+                    ring.lanes->taskEnd((*ring.finals)[d], l);
                 result.finishTime = std::max(result.finishTime,
                                              result.deviceFinish[d]);
                 latest_arrival =

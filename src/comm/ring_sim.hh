@@ -116,11 +116,11 @@ RingSimResult simulateRingCollective(
 /**
  * simulateRingCollective over many arrival vectors at once: all sets
  * must have the same device count, and the compiled ring template is
- * advanced through sim::replayBatch in structure-of-arrays lane
- * blocks instead of one graph walk per vector — the straggler-study
- * path for thousands of jittered arrival draws. Results are
+ * advanced through sim::replayLanes, one graph walk per
+ * sim::LaneWidth vectors instead of one per vector — the
+ * straggler-study path for thousands of jittered arrival draws. Results are
  * bit-identical to calling simulateRingCollective per vector, except
- * that the per-result `schedule` is left empty (batched replay keeps
+ * that the per-result `schedule` is left empty (the lane walk keeps
  * only ends; use the single-shot API when a trace export is needed).
  * RingSimEngine::Rebuild falls back to per-vector calls and keeps
  * the full schedules — the byte-identity reference.

@@ -1,6 +1,9 @@
 #include "cluster_sim.hh"
 
 #include <algorithm>
+#include <array>
+#include <numeric>
+#include <utility>
 
 #include "comm/ring_sim.hh"
 #include "model/layer_graph.hh"
@@ -23,6 +26,19 @@ validateConfig(const ClusterSimConfig &config)
     fatalIf(config.computeJitter < 0.0, "jitter must be >= 0");
 }
 
+/** Resource ids of device d's streams: buildIteration() registers
+ *  compute d and comm d interleaved, as 2d / 2d + 1. */
+constexpr sim::ResourceId
+computeStream(int d)
+{
+    return 2 * d;
+}
+constexpr sim::ResourceId
+commStream(int d)
+{
+    return 2 * d + 1;
+}
+
 /**
  * Build the iteration graph for one TP group. When `rng` is non-null
  * every compute task's duration is perturbed in place (the legacy
@@ -35,8 +51,7 @@ void
 buildIteration(const ClusterSimConfig &config,
                const model::Hyperparams &baseline,
                hw::Precision precision, sim::EventSimulator &des,
-               std::vector<sim::ResourceId> &compute,
-               std::vector<sim::ResourceId> &comm, Rng *rng)
+               Rng *rng)
 {
     const int p = config.tpDegree;
     model::Hyperparams hp = baseline.withHidden(config.hidden)
@@ -51,11 +66,13 @@ buildIteration(const ClusterSimConfig &config,
     const hw::Topology topo = config.system.topology();
     const comm::CollectiveModel coll = config.system.collectiveModel();
 
-    compute.resize(p);
-    comm.resize(p);
+    std::vector<sim::ResourceId> compute(p), comm(p);
     for (int d = 0; d < p; ++d) {
         compute[d] = des.addResource("compute" + std::to_string(d));
         comm[d] = des.addResource("comm" + std::to_string(d));
+        panicIf(compute[d] != computeStream(d) ||
+                    comm[d] != commStream(d),
+                "cluster streams must interleave as 2d / 2d + 1");
     }
 
     std::vector<sim::TaskId> last(p, sim::InvalidTask);
@@ -127,16 +144,14 @@ buildIteration(const ClusterSimConfig &config,
  *  order, so replay and rebuild agree to the last bit. */
 template <typename BusyFn>
 ClusterSimResult
-aggregate(Seconds makespan, int p,
-          const std::vector<sim::ResourceId> &compute,
-          const std::vector<sim::ResourceId> &comm, BusyFn &&busy)
+aggregate(Seconds makespan, int p, BusyFn &&busy)
 {
     ClusterSimResult r;
     r.iterationTime = makespan;
     Seconds comm_busy = 0.0, compute_busy = 0.0;
     for (int d = 0; d < p; ++d) {
-        compute_busy += busy(compute[d]);
-        comm_busy += busy(comm[d]);
+        compute_busy += busy(computeStream(d));
+        comm_busy += busy(commStream(d));
     }
     r.computeTimePerDevice = compute_busy / p;
     r.commTimePerDevice = comm_busy / p;
@@ -147,59 +162,13 @@ aggregate(Seconds makespan, int p,
     return r;
 }
 
-/** Tasks that draw a noise factor during replay, in increasing task
- *  id order: exactly the tasks the legacy rebuild path perturbs, in
- *  the order it draws for them. An index list instead of a mask so
- *  the per-trial fill is a bulk copy plus the draws, not a branchy
- *  pass over every task. */
-std::vector<std::uint32_t>
-jitterIndices(const sim::GraphTemplate &graph)
+/** One Rng per lane, lane l seeded for trial `first + l`. */
+template <std::size_t... L>
+std::array<Rng, sizeof...(L)>
+laneRngs(std::uint64_t seed, std::uint64_t first,
+         std::index_sequence<L...>)
 {
-    const util::StringInterner::Id compute_tag =
-        graph.interner().find("compute");
-    std::vector<std::uint32_t> jitterable;
-    for (std::size_t i = 0; i < graph.numTasks(); ++i) {
-        if (graph.taskTagId(static_cast<sim::TaskId>(i)) ==
-            compute_tag)
-            jitterable.push_back(static_cast<std::uint32_t>(i));
-    }
-    return jitterable;
-}
-
-/** One jittered replay of a compiled iteration graph, aggregated
- *  exactly like the legacy path. Resource ids are the builder's:
- *  compute d and comm d interleave as 2d / 2d + 1. */
-ClusterSimResult
-replayTrial(const sim::GraphTemplate &graph,
-            const std::vector<std::uint32_t> &jitter_idx,
-            const ClusterSimConfig &config, sim::ReplayScratch &scratch,
-            std::vector<Seconds> &durations)
-{
-    // The worker arenas are deliberately recycled across runTrials
-    // calls with different graphs — the explicit rebind opt-in.
-    scratch.bind(graph);
-    const std::vector<Seconds> &base = graph.baseDurations();
-    durations.assign(base.begin(), base.end());
-    Rng rng(config.seed);
-    for (const std::uint32_t i : jitter_idx)
-        durations[i] =
-            base[i] * rng.noiseFactor(config.computeJitter);
-    sim::replay(graph, durations, scratch);
-
-    // Reused across a worker's trials, like the caller's buffers —
-    // a trial stays allocation-free in steady state.
-    const int p = config.tpDegree;
-    thread_local std::vector<sim::ResourceId> compute, comm;
-    compute.resize(p);
-    comm.resize(p);
-    for (int d = 0; d < p; ++d) {
-        compute[d] = 2 * d;
-        comm[d] = 2 * d + 1;
-    }
-    return aggregate(scratch.makespan(), p, compute, comm,
-                     [&](sim::ResourceId r) {
-                         return scratch.busyTotal(r);
-                     });
+    return { Rng(splitmixSeed(seed, first + L))... };
 }
 
 } // namespace
@@ -222,20 +191,30 @@ ClusterSim::run(const ClusterSimConfig &config) const
         // run() and a one-trial runTrials() identical.
         const std::shared_ptr<const sim::GraphTemplate> graph =
             compileIteration(config);
+        const util::StringInterner::Id compute_tag =
+            graph->interner().find("compute");
+        const std::vector<Seconds> &base = graph->baseDurations();
+        std::vector<Seconds> durations(base);
+        Rng rng(config.seed);
+        for (std::size_t i = 0; i < durations.size(); ++i) {
+            if (graph->taskTagIds()[i] == compute_tag)
+                durations[i] =
+                    base[i] * rng.noiseFactor(config.computeJitter);
+        }
         sim::ReplayScratch scratch;
-        std::vector<Seconds> durations;
-        return replayTrial(*graph, jitterIndices(*graph), config,
-                           scratch, durations);
+        sim::replay(*graph, durations, scratch);
+        return aggregate(scratch.makespan(), config.tpDegree,
+                         [&](sim::ResourceId r) {
+                             return scratch.busyTotal(r);
+                         });
     }
 
     Rng rng(config.seed);
     sim::EventSimulator des;
-    std::vector<sim::ResourceId> compute, comm;
-    buildIteration(config, baseline_, precision_, des, compute, comm,
-                   &rng);
+    buildIteration(config, baseline_, precision_, des, &rng);
 
     const sim::Schedule sched = des.run();
-    return aggregate(sched.makespan(), config.tpDegree, compute, comm,
+    return aggregate(sched.makespan(), config.tpDegree,
                      [&](sim::ResourceId r) {
                          return sched.busyTime(r);
                      });
@@ -268,9 +247,8 @@ ClusterSim::compileIteration(const ClusterSimConfig &config) const
     const sim::GraphCache::Compiled cached =
         sim::GraphCache::instance().getOrCompile(key, [&] {
             sim::EventSimulator des;
-            std::vector<sim::ResourceId> compute, comm;
             buildIteration(config, baseline_, precision_, des,
-                           compute, comm, nullptr);
+                           nullptr);
             sim::GraphCache::Compiled out;
             out.graph = sim::PassPipeline::parse(config.passes)
                             .apply(des.compile());
@@ -281,122 +259,71 @@ ClusterSim::compileIteration(const ClusterSimConfig &config) const
 
 ClusterTrialSummary
 ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
-                      const exec::RunnerOptions &runner_options,
-                      TrialEngine engine, int lane_width) const
+                      const exec::RunnerOptions &runner_options) const
 {
     fatalIf(num_trials < 1, "need at least one trial");
-    fatalIf(lane_width < 1, "need a lane width of >= 1");
-    validateConfig(config);
+    const std::shared_ptr<const sim::GraphTemplate> graph =
+        compileIteration(config);
+    const std::vector<Seconds> &base = graph->baseDurations();
+    const std::vector<util::StringInterner::Id> &tags =
+        graph->taskTagIds();
+    const util::StringInterner::Id compute_tag =
+        graph->interner().find("compute");
+    const double jitter = config.computeJitter;
+    const int p = config.tpDegree;
 
-    std::vector<ClusterSimConfig> trials(
-        static_cast<std::size_t>(num_trials), config);
-    for (int i = 0; i < num_trials; ++i) {
-        // splitmix-derived per-trial seeds: config.seed + i would
-        // make base seeds s and s + 1 share almost all of their
-        // trial streams. Both engines read trials[i].seed, so they
-        // stay bit-identical at any jobs count.
-        trials[i].seed =
-            splitmixSeed(config.seed, static_cast<std::uint64_t>(i));
-    }
+    constexpr std::size_t W = sim::LaneWidth;
+    using Block = std::array<ClusterSimResult, W>;
+    const std::size_t trials = static_cast<std::size_t>(num_trials);
+    std::vector<std::size_t> blocks((trials + W - 1) / W);
+    std::iota(blocks.begin(), blocks.end(), std::size_t{ 0 });
 
     exec::RunnerOptions options = runner_options;
     if (options.study == "study")
         options.study = "cluster_trials";
     exec::ParallelSweepRunner runner(options);
 
+    const std::vector<Block> per_block =
+        runner.map(blocks, [&](std::size_t b) {
+            const std::size_t first = b * W;
+            const std::size_t lanes = std::min(W, trials - first);
+            // Trial i is seeded splitmixSeed(config.seed, i):
+            // config.seed + i would make base seeds s and s + 1
+            // share almost all of their trial streams. Each lane
+            // draws its trial's stream in task order — run()'s exact
+            // draws — and spare tail lanes draw nothing.
+            std::array<Rng, W> rng =
+                laneRngs(config.seed, first, std::make_index_sequence<W>());
+            // One arena per worker thread, recycled across runTrials
+            // calls with different graphs: the explicit rebind
+            // opt-in.
+            thread_local sim::LaneScratch scratch;
+            scratch.bind(*graph);
+            sim::replayLanes(
+                *graph, scratch,
+                [&](std::size_t i, Seconds(&dur)[W]) {
+                    for (std::size_t l = 0; l < W; ++l)
+                        dur[l] = base[i];
+                    if (tags[i] == compute_tag) {
+                        for (std::size_t l = 0; l < lanes; ++l)
+                            dur[l] = base[i] * rng[l].noiseFactor(jitter);
+                    }
+                });
+            Block results;
+            for (std::size_t l = 0; l < lanes; ++l) {
+                results[l] = aggregate(scratch.makespan(l), p,
+                                       [&](sim::ResourceId r) {
+                                           return scratch.busyTotal(r, l);
+                                       });
+            }
+            return results;
+        });
+
     ClusterTrialSummary summary;
-    if (engine == TrialEngine::CompiledReplay) {
-        // Compile once; each trial only fills a duration vector and
-        // replays. Resource ids are the builder's: compute d and
-        // comm d interleave as 2d / 2d + 1.
-        const std::shared_ptr<const sim::GraphTemplate> graph =
-            compileIteration(config);
-        const std::vector<std::uint32_t> jitterable =
-            jitterIndices(*graph);
-
-        summary.trials = runner.map(
-            trials, [&](const ClusterSimConfig &c) {
-                // One arena per worker thread, reused across the
-                // trials that worker executes: the per-trial work is
-                // a duration fill + one allocation-free replay.
-                thread_local sim::ReplayScratch scratch;
-                thread_local std::vector<Seconds> durations;
-                return replayTrial(*graph, jitterable, c, scratch,
-                                   durations);
-            });
-    } else {
-        // Compile once, advance lane_width trials per SoA forward
-        // pass. Blocks parallelize like trials did; within a block
-        // each lane draws its trial's jitter stream in task order —
-        // the exact sequential draws — so the engines agree bit for
-        // bit at any jobs count and any lane width.
-        const std::shared_ptr<const sim::GraphTemplate> graph =
-            compileIteration(config);
-        const std::vector<std::uint32_t> jitterable =
-            jitterIndices(*graph);
-        const std::vector<Seconds> &base = graph->baseDurations();
-        const std::size_t n = base.size();
-        const int p = config.tpDegree;
-
-        const int blocks =
-            (num_trials + lane_width - 1) / lane_width;
-        std::vector<int> block_ids(static_cast<std::size_t>(blocks));
-        for (int b = 0; b < blocks; ++b)
-            block_ids[static_cast<std::size_t>(b)] = b;
-
-        const std::vector<std::vector<ClusterSimResult>> per_block =
-            runner.map(block_ids, [&](int b) {
-                const int first = b * lane_width;
-                const std::size_t lanes = static_cast<std::size_t>(
-                    std::min(lane_width, num_trials - first));
-                thread_local sim::BatchScratch scratch;
-                thread_local std::vector<Seconds> soa;
-                soa.resize(n * lanes);
-                // Broadcast the base durations across the lanes,
-                // then overwrite only the jitterable rows — each
-                // lane draws its trial's stream in task order, the
-                // exact sequential draws.
-                for (std::size_t i = 0; i < n; ++i) {
-                    Seconds *row = soa.data() + i * lanes;
-                    for (std::size_t l = 0; l < lanes; ++l)
-                        row[l] = base[i];
-                }
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    Rng rng(trials[static_cast<std::size_t>(first) + l]
-                                .seed);
-                    for (const std::uint32_t i : jitterable)
-                        soa[i * lanes + l] =
-                            base[i] *
-                            rng.noiseFactor(config.computeJitter);
-                }
-                scratch.bind(*graph, lanes);
-                sim::replayBatch(*graph, soa, lanes, scratch);
-
-                thread_local std::vector<sim::ResourceId> compute,
-                    comm;
-                compute.resize(p);
-                comm.resize(p);
-                for (int d = 0; d < p; ++d) {
-                    compute[d] = 2 * d;
-                    comm[d] = 2 * d + 1;
-                }
-                std::vector<ClusterSimResult> results(lanes);
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    results[l] = aggregate(
-                        scratch.makespan(l), p, compute, comm,
-                        [&](sim::ResourceId r) {
-                            return scratch.busyTotal(r, l);
-                        });
-                }
-                return results;
-            });
-        summary.trials.reserve(static_cast<std::size_t>(num_trials));
-        for (const std::vector<ClusterSimResult> &block : per_block)
-            summary.trials.insert(summary.trials.end(), block.begin(),
-                                  block.end());
-    }
-
-    for (const ClusterSimResult &r : summary.trials) {
+    summary.trials.reserve(trials);
+    for (std::size_t t = 0; t < trials; ++t) {
+        const ClusterSimResult &r = per_block[t / W][t % W];
+        summary.trials.push_back(r);
         summary.meanIterationTime += r.iterationTime;
         summary.worstIterationTime =
             std::max(summary.worstIterationTime, r.iterationTime);

@@ -13,11 +13,12 @@
  * iteration-level slowdown that no single-device model can see.
  *
  * Monte Carlo trials share one graph shape: runTrials() compiles the
- * per-iteration layer graph once (sim::GraphTemplate) and maps
- * jittered duration vectors over the trials, one replay-scratch
- * arena per worker thread — a trial allocates nothing and
- * re-validates nothing. The byte-identity reference is run() mapped
- * over the per-trial seeds, which rebuilds the graph every trial.
+ * per-iteration layer graph once (sim::GraphTemplate) and walks it
+ * once per block of sim::LaneWidth trials, each lane drawing its
+ * trial's jitter inline as the walk reaches a compute task — a trial
+ * stores no duration vector, allocates nothing and re-validates
+ * nothing. The byte-identity reference is run() mapped over the
+ * per-trial seeds, which rebuilds the graph every trial.
  */
 
 #ifndef TWOCS_CORE_CLUSTER_SIM_HH
@@ -99,23 +100,6 @@ struct ClusterTrialSummary
     Seconds worstIterationTime = 0.0;
 };
 
-/** How runTrials() obtains each trial's task graph. */
-enum class TrialEngine
-{
-    /** Compile the iteration graph once, replay a jittered duration
-     *  vector per trial (zero per-trial allocation). The default. */
-    CompiledReplay,
-    /**
-     * Compile once, then advance trials through sim::replayBatch in
-     * lane blocks of runTrials' lane_width: one structure-of-arrays
-     * forward pass per block instead of one graph walk per trial,
-     * parallelized over blocks. Bit-identical to CompiledReplay
-     * and to run() at any jobs count and any lane width (each lane
-     * reproduces its trial's sequential op order exactly).
-     */
-    BatchedReplay,
-};
-
 /** Runs the explicit group simulation. */
 class ClusterSim
 {
@@ -131,25 +115,22 @@ class ClusterSim
      * splitmixSeed(config.seed, i) — a per-trial mix rather than
      * config.seed + i, so adjacent base seeds do not share almost
      * all of their trial streams — in parallel across runner.jobs
-     * worker threads. Results are aggregated in trial order, so any
-     * jobs count (and any engine) produces identical output.
-     * lane_width only affects TrialEngine::BatchedReplay: trials are
-     * grouped into SoA blocks of that many duration lanes (the tail
-     * block may be narrower).
+     * worker threads. Trials run in blocks of sim::LaneWidth, one
+     * graph walk per block (the last block pads its spare lanes);
+     * every lane reproduces run() for its seed bit for bit, and
+     * results are aggregated in trial order, so any jobs count
+     * produces identical output.
      */
     ClusterTrialSummary runTrials(const ClusterSimConfig &config,
                                   int num_trials,
                                   const exec::RunnerOptions &runner =
-                                      {},
-                                  TrialEngine engine =
-                                      TrialEngine::CompiledReplay,
-                                  int lane_width = 8) const;
+                                      {}) const;
 
     /**
      * Freeze the iteration graph for `config` (base durations, no
      * jitter applied), with config.passes already run over it.
-     * Exposed for the replay benches and tests; runTrials() uses it
-     * internally.
+     * Exposed for the replay benches and tests; run() and
+     * runTrials() use it internally.
      */
     std::shared_ptr<const sim::GraphTemplate>
     compileIteration(const ClusterSimConfig &config) const;

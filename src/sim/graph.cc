@@ -159,290 +159,54 @@ replay(const GraphTemplate &graph,
 }
 
 void
-BatchScratch::bind(const GraphTemplate &graph, std::size_t lanes)
+LaneScratch::bind(const GraphTemplate &graph)
 {
-    panicIf(lanes == 0, "BatchScratch needs at least one lane");
     bound_ = &graph;
-    lanes_ = lanes;
-    ends_.resize(graph.numTasks() * lanes);
-    ready_.resize(lanes);
-    resourceFree_.resize(graph.numResources() * lanes);
-    busyTotals_.resize(graph.numResources() * lanes);
-    makespans_.resize(lanes);
+    ends_.resize(graph.numTasks() * LaneWidth);
+    resourceFree_.resize(graph.numResources() * LaneWidth);
+    busyTotals_.resize(graph.numResources() * LaneWidth);
+}
+
+void
+LaneScratch::reset(const GraphTemplate &graph)
+{
+    panicIf(bound_ != nullptr && bound_ != &graph,
+            "replayLanes() scratch is still bound to another "
+            "template; call bind() to reuse the arena");
+    bind(graph);
+    std::fill(resourceFree_.begin(), resourceFree_.end(), 0.0);
+    std::fill(busyTotals_.begin(), busyTotals_.end(), 0.0);
 }
 
 Seconds
-BatchScratch::makespan(std::size_t lane) const
+LaneScratch::makespan(std::size_t lane) const
 {
-    panicIf(lane >= makespans_.size(),
-            "makespan() of unknown lane ", lane);
+    panicIf(lane >= LaneWidth, "makespan() of unknown lane ", lane);
     return makespans_[lane];
 }
 
 Seconds
-BatchScratch::busyTotal(ResourceId resource, std::size_t lane) const
+LaneScratch::busyTotal(ResourceId resource, std::size_t lane) const
 {
-    panicIf(resource < 0 || lane >= lanes_ ||
-                static_cast<std::size_t>(resource) * lanes_ + lane >=
+    panicIf(resource < 0 || lane >= LaneWidth ||
+                static_cast<std::size_t>(resource) * LaneWidth +
+                        lane >=
                     busyTotals_.size(),
             "busyTotal() of unknown resource ", resource, " lane ",
             lane);
-    return busyTotals_[static_cast<std::size_t>(resource) * lanes_ +
+    return busyTotals_[static_cast<std::size_t>(resource) *
+                           LaneWidth +
                        lane];
 }
 
 Seconds
-BatchScratch::taskEnd(TaskId id, std::size_t lane) const
+LaneScratch::taskEnd(TaskId id, std::size_t lane) const
 {
-    panicIf(id < 0 || lane >= lanes_ ||
-                static_cast<std::size_t>(id) * lanes_ + lane >=
+    panicIf(id < 0 || lane >= LaneWidth ||
+                static_cast<std::size_t>(id) * LaneWidth + lane >=
                     ends_.size(),
             "taskEnd() of unknown task ", id, " lane ", lane);
-    return ends_[static_cast<std::size_t>(id) * lanes_ + lane];
-}
-
-namespace {
-
-/**
- * The lane-interleaved replay recurrence with a compile-time lane
- * width: the `ready` and makespan rows live in registers and every
- * lane loop fully unrolls, which is where the batch engine's
- * throughput comes from. The computation is op-for-op the dynamic
- * loop below — specializing the trip count changes no FP semantics.
- */
-template <std::size_t L>
-[[gnu::always_inline]] inline void
-replayBatchLanesImpl(std::size_t n, const ResourceId *res,
-                     const std::uint32_t *offsets, const TaskId *edges,
-                     const Seconds *__restrict soa,
-                     Seconds *__restrict ends,
-                     Seconds *__restrict resource_free,
-                     Seconds *__restrict busy,
-                     Seconds *__restrict makespans)
-{
-    Seconds ms[L];
-    for (std::size_t l = 0; l < L; ++l)
-        ms[l] = makespans[l];
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t r = static_cast<std::size_t>(res[i]);
-        Seconds *__restrict rf_row = resource_free + r * L;
-        Seconds ready[L];
-        for (std::size_t l = 0; l < L; ++l)
-            ready[l] = rf_row[l];
-        for (std::uint32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-            const Seconds *__restrict dep_row =
-                ends + static_cast<std::size_t>(edges[e]) * L;
-            for (std::size_t l = 0; l < L; ++l)
-                ready[l] = std::max(ready[l], dep_row[l]);
-        }
-        Seconds *__restrict end_row = ends + i * L;
-        Seconds *__restrict busy_row = busy + r * L;
-        const Seconds *__restrict dur_row = soa + i * L;
-        for (std::size_t l = 0; l < L; ++l) {
-            const Seconds end = ready[l] + dur_row[l];
-            end_row[l] = end;
-            rf_row[l] = end;
-            busy_row[l] += end - ready[l];
-            ms[l] = std::max(ms[l], end);
-        }
-    }
-    for (std::size_t l = 0; l < L; ++l)
-        makespans[l] = ms[l];
-}
-
-template <std::size_t L>
-void
-replayBatchLanes(std::size_t n, const ResourceId *res,
-                 const std::uint32_t *offsets, const TaskId *edges,
-                 const Seconds *__restrict soa,
-                 Seconds *__restrict ends,
-                 Seconds *__restrict resource_free,
-                 Seconds *__restrict busy,
-                 Seconds *__restrict makespans)
-{
-    replayBatchLanesImpl<L>(n, res, offsets, edges, soa, ends,
-                            resource_free, busy, makespans);
-}
-
-#if defined(__x86_64__) && defined(__GNUC__)
-// Wider-vector clones of the same body, selected at runtime. Only
-// max/add/sub touch the lane values and those are IEEE-exact at any
-// vector width (and neither target enables FMA contraction), so the
-// clones stay bit-identical to the baseline kernel.
-#define TWOCS_BATCH_ISA_CLONES 1
-#pragma GCC push_options
-#pragma GCC target("avx2")
-template <std::size_t L>
-void
-replayBatchLanesAvx2(std::size_t n, const ResourceId *res,
-                     const std::uint32_t *offsets, const TaskId *edges,
-                     const Seconds *__restrict soa,
-                     Seconds *__restrict ends,
-                     Seconds *__restrict resource_free,
-                     Seconds *__restrict busy,
-                     Seconds *__restrict makespans)
-{
-    replayBatchLanesImpl<L>(n, res, offsets, edges, soa, ends,
-                            resource_free, busy, makespans);
-}
-#pragma GCC pop_options
-
-#pragma GCC push_options
-#pragma GCC target("avx512f")
-template <std::size_t L>
-void
-replayBatchLanesAvx512(std::size_t n, const ResourceId *res,
-                       const std::uint32_t *offsets,
-                       const TaskId *edges,
-                       const Seconds *__restrict soa,
-                       Seconds *__restrict ends,
-                       Seconds *__restrict resource_free,
-                       Seconds *__restrict busy,
-                       Seconds *__restrict makespans)
-{
-    replayBatchLanesImpl<L>(n, res, offsets, edges, soa, ends,
-                            resource_free, busy, makespans);
-}
-#pragma GCC pop_options
-#endif
-
-template <std::size_t L>
-void
-replayBatchDispatch(std::size_t n, const ResourceId *res,
-                    const std::uint32_t *offsets, const TaskId *edges,
-                    const Seconds *__restrict soa,
-                    Seconds *__restrict ends,
-                    Seconds *__restrict resource_free,
-                    Seconds *__restrict busy,
-                    Seconds *__restrict makespans)
-{
-#ifdef TWOCS_BATCH_ISA_CLONES
-    static const int isa = __builtin_cpu_supports("avx512f") ? 2
-                           : __builtin_cpu_supports("avx2")  ? 1
-                                                             : 0;
-    if (isa == 2) {
-        replayBatchLanesAvx512<L>(n, res, offsets, edges, soa, ends,
-                                  resource_free, busy, makespans);
-        return;
-    }
-    if (isa == 1) {
-        replayBatchLanesAvx2<L>(n, res, offsets, edges, soa, ends,
-                                resource_free, busy, makespans);
-        return;
-    }
-#endif
-    replayBatchLanes<L>(n, res, offsets, edges, soa, ends,
-                        resource_free, busy, makespans);
-}
-
-} // namespace
-
-void
-replayBatch(const GraphTemplate &graph,
-            std::span<const Seconds> durations_soa, std::size_t lanes,
-            BatchScratch &scratch)
-{
-    const std::size_t n = graph.numTasks();
-    panicIf(lanes == 0, "replayBatch() needs at least one lane");
-    panicIf(!durations_soa.empty() &&
-                durations_soa.size() != n * lanes,
-            "replayBatch() SoA size ", durations_soa.size(),
-            " does not match ", n, " tasks x ", lanes, " lanes");
-    panicIf(scratch.bound_ != nullptr && scratch.bound_ != &graph,
-            "replayBatch() scratch is still bound to another "
-            "template; call bind() to reuse the arena");
-
-    TWOCS_OBS_SPAN(obs::Category::Sim, "sim.replay_batch", [&] {
-        return "tasks=" + std::to_string(n) +
-               " lanes=" + std::to_string(lanes);
-    });
-
-    scratch.bind(graph, lanes);
-    std::fill(scratch.resourceFree_.begin(),
-              scratch.resourceFree_.end(), 0.0);
-    std::fill(scratch.busyTotals_.begin(),
-              scratch.busyTotals_.end(), 0.0);
-    std::fill(scratch.makespans_.begin(), scratch.makespans_.end(),
-              0.0);
-
-    // Raw restrict-qualified pointers: the rows live in distinct
-    // arenas (and a task's dependency rows precede its own end row),
-    // so telling the compiler so lets the lane loops vectorize
-    // without runtime overlap checks.
-    const std::size_t L = lanes;
-    Seconds *__restrict ends = scratch.ends_.data();
-    Seconds *__restrict ready = scratch.ready_.data();
-    Seconds *__restrict resource_free = scratch.resourceFree_.data();
-    Seconds *__restrict busy = scratch.busyTotals_.data();
-    Seconds *__restrict makespans = scratch.makespans_.data();
-    const ResourceId *res = graph.resources_.data();
-    const std::uint32_t *offsets = graph.depOffsets_.data();
-    const TaskId *edges = graph.depEdges_.data();
-    const bool broadcast = durations_soa.empty();
-    const Seconds *base = graph.durations_.data();
-    const Seconds *__restrict soa = durations_soa.data();
-
-    // The sequential recurrence, lane-interleaved: every lane sees
-    // exactly the op sequence replay() would run for its duration
-    // vector (ready = stream-free, then dep maxes in edge order,
-    // then one add), so each lane is bit-identical to a sequential
-    // replay — the inner loops just run over `L` adjacent doubles.
-    // Common widths take the unrolled register kernel.
-    if (!broadcast) {
-        switch (L) {
-          case 2:
-            replayBatchDispatch<2>(n, res, offsets, edges, soa, ends,
-                                resource_free, busy, makespans);
-            return;
-          case 4:
-            replayBatchDispatch<4>(n, res, offsets, edges, soa, ends,
-                                resource_free, busy, makespans);
-            return;
-          case 8:
-            replayBatchDispatch<8>(n, res, offsets, edges, soa, ends,
-                                resource_free, busy, makespans);
-            return;
-          case 16:
-            replayBatchDispatch<16>(n, res, offsets, edges, soa, ends,
-                                resource_free, busy, makespans);
-            return;
-          default:
-            break;
-        }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t r = static_cast<std::size_t>(res[i]);
-        Seconds *__restrict rf_row = resource_free + r * L;
-        for (std::size_t l = 0; l < L; ++l)
-            ready[l] = rf_row[l];
-        for (std::uint32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-            const Seconds *__restrict dep_row =
-                ends + static_cast<std::size_t>(edges[e]) * L;
-            for (std::size_t l = 0; l < L; ++l)
-                ready[l] = std::max(ready[l], dep_row[l]);
-        }
-        Seconds *__restrict end_row = ends + i * L;
-        Seconds *__restrict busy_row = busy + r * L;
-        if (broadcast) {
-            const Seconds d = base[i];
-            for (std::size_t l = 0; l < L; ++l) {
-                const Seconds end = ready[l] + d;
-                end_row[l] = end;
-                rf_row[l] = end;
-                busy_row[l] += end - ready[l];
-                makespans[l] = std::max(makespans[l], end);
-            }
-        } else {
-            const Seconds *__restrict dur_row = soa + i * L;
-            for (std::size_t l = 0; l < L; ++l) {
-                const Seconds end = ready[l] + dur_row[l];
-                end_row[l] = end;
-                rf_row[l] = end;
-                busy_row[l] += end - ready[l];
-                makespans[l] = std::max(makespans[l], end);
-            }
-        }
-    }
+    return ends_[static_cast<std::size_t>(id) * LaneWidth + lane];
 }
 
 } // namespace twocs::sim

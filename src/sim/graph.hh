@@ -15,25 +15,26 @@
  * allocations and no re-validation — a what-if sweep is a graph
  * *replay* problem, not a graph *construction* problem.
  *
- * Two replay engines share the template (DESIGN.md §15):
+ * Two walks share the template (DESIGN.md §15):
  *
  *  - replay(): one duration vector, one forward pass. The oracle
- *    every other engine is gated bit-identical against.
- *  - replayBatch(): N duration vectors advanced through one forward
- *    pass over the CSR arrays. Durations and placements are stored
- *    structure-of-arrays (lane-major contiguous doubles), so the
- *    inner max/add loop runs over adjacent lanes — the Monte Carlo
- *    engines amortize the graph walk across a whole lane block.
+ *    the lane walk is gated bit-identical against.
+ *  - replayLanes(): LaneWidth trials advanced through one forward
+ *    pass over the CSR arrays. The caller supplies each task's
+ *    LaneWidth durations through an inlined callable at the moment
+ *    the walk reaches the task, so a Monte Carlo trial draws its
+ *    jitter inside the walk and no duration vector is ever stored.
  *
  * Thread contract: a GraphTemplate is immutable after compile and
  * may be replayed concurrently from any number of threads, each with
- * its own scratch arena (the parallel trial engines give every
+ * its own scratch arena (the parallel trial runners give every
  * worker one).
  */
 
 #ifndef TWOCS_SIM_GRAPH_HH
 #define TWOCS_SIM_GRAPH_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -41,6 +42,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/obs.hh"
 #include "util/interner.hh"
 #include "util/units.hh"
 
@@ -62,13 +64,18 @@ struct ScheduledTask
 
 class GraphTemplate;
 class ReplayScratch;
-class BatchScratch;
+class LaneScratch;
 void replay(const GraphTemplate &graph,
             std::span<const Seconds> durations,
             ReplayScratch &scratch);
-void replayBatch(const GraphTemplate &graph,
-                 std::span<const Seconds> durations_soa,
-                 std::size_t lanes, BatchScratch &scratch);
+template <typename DurationRow>
+void replayLanes(const GraphTemplate &graph, LaneScratch &scratch,
+                 DurationRow &&row);
+
+/** Trials one replayLanes() walk advances: four doubles, one AVX2
+ *  register per lane row. Wider rows bought little over the jitter
+ *  draws that dominate a trial and cost resident memory. */
+inline constexpr std::size_t LaneWidth = 4;
 
 /**
  * An immutable, validated task graph in structure-of-arrays layout
@@ -94,6 +101,11 @@ class GraphTemplate
     const std::vector<Seconds> &baseDurations() const
     {
         return durations_;
+    }
+    /** Interned tag id of every task, in task-id order. */
+    const std::vector<util::StringInterner::Id> &taskTagIds() const
+    {
+        return tags_;
     }
 
     util::StringInterner::Id taskLabelId(TaskId id) const;
@@ -124,9 +136,9 @@ class GraphTemplate
     friend class EventSimulator;
     friend void replay(const GraphTemplate &,
                        std::span<const Seconds>, ReplayScratch &);
-    friend void replayBatch(const GraphTemplate &,
-                            std::span<const Seconds>, std::size_t,
-                            BatchScratch &);
+    template <typename DurationRow>
+    friend void replayLanes(const GraphTemplate &, LaneScratch &,
+                            DurationRow &&);
 
     std::vector<std::string> resourceNames_;
     std::vector<util::StringInterner::Id> labels_;
@@ -198,38 +210,38 @@ class ReplayScratch
 };
 
 /**
- * Lane-major structure-of-arrays buffers for replayBatch(): lane l
- * of task i lives at index i * lanes + l, so the per-task inner
- * loops touch `lanes` adjacent doubles. Same binding contract as
- * ReplayScratch (bind() is the explicit opt-in for reuse across
- * templates; the lane width may change freely between calls).
+ * Lane-major buffers for replayLanes(): lane l of task i lives at
+ * index i * LaneWidth + l, so the per-task inner loops touch
+ * LaneWidth adjacent doubles. Same binding contract as
+ * ReplayScratch: bind() is the explicit opt-in for reuse across
+ * templates.
  */
-class BatchScratch
+class LaneScratch
 {
   public:
-    void bind(const GraphTemplate &graph, std::size_t lanes);
+    void bind(const GraphTemplate &graph);
 
     const GraphTemplate *boundTemplate() const { return bound_; }
-    std::size_t lanes() const { return lanes_; }
 
-    /** Per-lane aggregates of the latest replayBatch(). */
+    /** Per-lane aggregates of the latest replayLanes(). */
     Seconds makespan(std::size_t lane) const;
     Seconds busyTotal(ResourceId resource, std::size_t lane) const;
     /** Completion time of one task in one lane. */
     Seconds taskEnd(TaskId id, std::size_t lane) const;
 
   private:
-    friend void replayBatch(const GraphTemplate &,
-                            std::span<const Seconds>, std::size_t,
-                            BatchScratch &);
+    template <typename DurationRow>
+    friend void replayLanes(const GraphTemplate &, LaneScratch &,
+                            DurationRow &&);
+    /** Bind to `graph` (panicking on a scratch still bound
+     *  elsewhere) and zero the per-walk aggregates. */
+    void reset(const GraphTemplate &graph);
 
     const GraphTemplate *bound_ = nullptr;
-    std::size_t lanes_ = 0;
-    std::vector<Seconds> ends_;         // numTasks x lanes
-    std::vector<Seconds> ready_;        // lanes (one task's row)
-    std::vector<Seconds> resourceFree_; // numResources x lanes
-    std::vector<Seconds> busyTotals_;   // numResources x lanes
-    std::vector<Seconds> makespans_;    // lanes
+    std::vector<Seconds> ends_;         // numTasks x LaneWidth
+    std::vector<Seconds> resourceFree_; // numResources x LaneWidth
+    std::vector<Seconds> busyTotals_;   // numResources x LaneWidth
+    Seconds makespans_[LaneWidth] = {};
 };
 
 /**
@@ -244,18 +256,73 @@ void replay(const GraphTemplate &graph,
             ReplayScratch &scratch);
 
 /**
- * Advance `lanes` duration vectors through one forward pass over the
- * template. durations_soa holds lane l of task i at i * lanes + l
- * (an empty span broadcasts the base durations to every lane). Each
- * lane's results — placements, makespan, busy totals — are
- * bit-identical to a sequential replay() of that lane's durations:
- * the per-lane floating-point op sequence is exactly the sequential
- * one, only interleaved across lanes. Per-task dispatch spans are
- * not emitted (one "sim.replay_batch" span covers the pass).
+ * Advance LaneWidth trials through one forward pass over the
+ * template. When the walk reaches task i it calls
+ * `row(i, dur)` with `Seconds (&dur)[LaneWidth]` for the caller to
+ * fill with that task's duration in every lane; calls come in
+ * task-id order, once per task, so a lane may draw its durations
+ * from a sequential RNG stream. Each lane's results — task ends,
+ * makespan, busy totals — are bit-identical to a sequential
+ * replay() of that lane's durations: the per-lane floating-point op
+ * sequence is exactly the sequential one, only interleaved across
+ * lanes. A caller with fewer than LaneWidth trials pads the spare
+ * lanes (e.g. with base durations) and ignores their results.
+ * Per-task dispatch spans are not emitted (one "sim.replay_lanes"
+ * span covers the pass).
  */
-void replayBatch(const GraphTemplate &graph,
-                 std::span<const Seconds> durations_soa,
-                 std::size_t lanes, BatchScratch &scratch);
+template <typename DurationRow>
+void
+replayLanes(const GraphTemplate &graph, LaneScratch &scratch,
+            DurationRow &&row)
+{
+    constexpr std::size_t L = LaneWidth;
+    const std::size_t n = graph.numTasks();
+    TWOCS_OBS_SPAN(obs::Category::Sim, "sim.replay_lanes",
+                   [&] { return "tasks=" + std::to_string(n); });
+    scratch.reset(graph);
+
+    // Raw restrict-qualified pointers: the rows live in distinct
+    // arenas (and a task's dependency rows precede its own end row),
+    // so the lane loops vectorize without runtime overlap checks.
+    Seconds *__restrict ends = scratch.ends_.data();
+    Seconds *__restrict resource_free = scratch.resourceFree_.data();
+    Seconds *__restrict busy = scratch.busyTotals_.data();
+    const ResourceId *res = graph.resources_.data();
+    const std::uint32_t *offsets = graph.depOffsets_.data();
+    const TaskId *edges = graph.depEdges_.data();
+
+    // The sequential recurrence, lane-interleaved: every lane sees
+    // exactly the op sequence replay() runs for its durations
+    // (ready = stream-free, then dep maxes in edge order, then one
+    // add), with the ready and makespan rows held in registers.
+    Seconds ms[L] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t r = static_cast<std::size_t>(res[i]);
+        Seconds *__restrict rf_row = resource_free + r * L;
+        Seconds ready[L];
+        for (std::size_t l = 0; l < L; ++l)
+            ready[l] = rf_row[l];
+        for (std::uint32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+            const Seconds *__restrict dep_row =
+                ends + static_cast<std::size_t>(edges[e]) * L;
+            for (std::size_t l = 0; l < L; ++l)
+                ready[l] = std::max(ready[l], dep_row[l]);
+        }
+        Seconds dur[L];
+        row(i, dur);
+        Seconds *__restrict end_row = ends + i * L;
+        Seconds *__restrict busy_row = busy + r * L;
+        for (std::size_t l = 0; l < L; ++l) {
+            const Seconds end = ready[l] + dur[l];
+            end_row[l] = end;
+            rf_row[l] = end;
+            busy_row[l] += end - ready[l];
+            ms[l] = std::max(ms[l], end);
+        }
+    }
+    for (std::size_t l = 0; l < L; ++l)
+        scratch.makespans_[l] = ms[l];
+}
 
 } // namespace twocs::sim
 

@@ -213,29 +213,74 @@ TEST(CliRegistry, BareNonBooleanFlagIsRejected)
     EXPECT_NE(out.find("H,SL_x_B"), std::string::npos);
 }
 
-TEST(CliRegistry, ClusterRejectsLanesWithoutBatchedEngine)
+TEST(CliRegistry, ClusterRejectsEngineAndLanes)
 {
-    // --lanes configures the batched engine's SoA width; accepting
-    // it silently on any other engine (or in single-run mode, where
-    // no trial engine runs at all) would hide a misconfiguration.
-    EXPECT_THROW(run({ "twocs", "cluster", "--trials", "4",
-                       "--engine", "replay", "--lanes", "4" },
-                     nullptr),
-                 FatalError);
-    EXPECT_THROW(run({ "twocs", "cluster", "--lanes", "4" }, nullptr),
-                 FatalError);
-    // The build-per-trial oracle lives in the tests, not the CLI.
-    EXPECT_THROW(run({ "twocs", "cluster", "--trials", "4",
-                       "--engine", "rebuild" },
-                     nullptr),
-                 FatalError);
-    // The flag stays accepted where it means something.
+    // runTrials has one trial engine; the build-per-trial oracle
+    // lives in the tests. Neither the old engine selector nor its
+    // lane width is a cluster flag any more.
+    for (const char *flag : { "--engine", "--lanes" }) {
+        std::string out, err;
+        EXPECT_EQ(run({ "twocs", "cluster", "--trials", "4", flag,
+                        "4" },
+                      &out, &err),
+                  2)
+            << flag;
+        EXPECT_NE(err.find(std::string("unknown option '") + flag +
+                           "' for command 'cluster'"),
+                  std::string::npos)
+            << err;
+    }
     std::string out;
-    EXPECT_EQ(run({ "twocs", "cluster", "--trials", "2", "--engine",
-                    "batched", "--lanes", "2" },
-                  &out),
-              0);
+    EXPECT_EQ(run({ "twocs", "cluster", "--trials", "2" }, &out), 0);
     EXPECT_NE(out.find("mean iteration"), std::string::npos);
+}
+
+TEST(CliRegistry, GoldenHelpPageForCluster)
+{
+    std::string out;
+    EXPECT_EQ(run({ "twocs", "help", "cluster" }, &out), 0);
+    EXPECT_EQ(
+        out,
+        "usage: twocs cluster [flags]\n"
+        "\n"
+        "  explicit multi-device group simulation\n"
+        "\n"
+        "flags:\n"
+        "  --hidden INT            hidden size H (default: 8192)\n"
+        "  --seqlen INT            sequence length SL"
+        " (default: 2048)\n"
+        "  --tp INT                tensor-parallel degree"
+        " (default: 8)\n"
+        "  --layers INT            transformer layers simulated"
+        " (default: 4)\n"
+        "  --jitter NUM            per-device compute jitter fraction"
+        " (default: 0)\n"
+        "  --seed INT              base RNG seed (default: 1)\n"
+        "  --trials INT            independent jittered trials"
+        " (default: 1)\n"
+        "  --passes STR            graph pass pipeline, e.g."
+        " fuse,dce\n"
+        "  --parallel STR          3D plan, e.g."
+        " tp=8,pp=4,dp=2,zero=1,ep=8\n"
+        "  --device STR            hardware catalog device name"
+        " (default: MI210)\n"
+        "  --flop-scale NUM        scale device FLOP rate (future hw)"
+        " (default: 1)\n"
+        "  --bw-scale NUM          scale link bandwidth (future hw)"
+        " (default: 1)\n"
+        "  --pin BOOL              enable in-network (switch)"
+        " reduction (default: 0)\n"
+        "  --topology STR          fabric: single or"
+        " multi:<perNode>[:slowdown] (default: single)\n"
+        "  --jobs INT              worker threads (0 = all cores)"
+        " (default: 0)\n"
+        "  --report STR            write the RunReport JSON here\n"
+        "  --trace-out STR         write a span trace of this run"
+        " here\n"
+        "  --trace-categories STR  exec,svc,sim,comm,cli,bench,net"
+        " or all (default: all)\n"
+        "  --trace-format STR      trace file format: chrome|folded"
+        " (default: chrome)\n");
 }
 
 TEST(CliRegistry, SweepEngineFlagIsValidated)

@@ -119,30 +119,32 @@ TEST(ClusterReplay, TrialsMatchRebuildBitForBitAtAnyJobs)
     for (int jobs : { 1, 2, 4 }) {
         exec::RunnerOptions runner;
         runner.jobs = jobs;
-        expectIdentical(reference,
-                        sim.runTrials(cfg, 8, runner,
-                                      TrialEngine::CompiledReplay));
+        expectIdentical(reference, sim.runTrials(cfg, 8, runner));
     }
 }
 
-TEST(ClusterReplay, BatchedTrialsMatchRebuildAtAnyJobsAndLanes)
+TEST(ClusterReplay, LaneBlocksMatchRebuildAtAnyTrialCountJobsAndPasses)
 {
-    // The SoA-batched engine must reproduce run() rebuilt per trial
-    // exactly at every jobs count and lane width — including lane
-    // widths that leave a partial tail block (5 over 8 trials) and
-    // the degenerate single-lane case.
+    // runTrials walks four trials per lane block; every grid point —
+    // a lone trial, a 3-lane tail, exact blocks, one-lane tails, with
+    // and without a pass pipeline — must reproduce run() rebuilt per
+    // trial on every result field.
     ClusterSim sim;
-    const ClusterSimConfig cfg = smallConfig(4, 0.10);
-    const ClusterTrialSummary reference =
-        test::rebuildTrials(sim, cfg, 8);
-    for (int jobs : { 1, 2, 4 }) {
-        for (int lanes : { 1, 4, 5 }) {
-            exec::RunnerOptions runner;
-            runner.jobs = jobs;
-            expectIdentical(
-                reference,
-                sim.runTrials(cfg, 8, runner,
-                              TrialEngine::BatchedReplay, lanes));
+    for (const char *passes : { "", "fuse,dce" }) {
+        ClusterSimConfig cfg = smallConfig(4, 0.10);
+        cfg.passes = passes;
+        for (int trials : { 1, 3, 4, 5, 9 }) {
+            const ClusterTrialSummary reference =
+                test::rebuildTrials(sim, cfg, trials);
+            for (int jobs : { 1, 4 }) {
+                SCOPED_TRACE(std::string("passes '") + passes +
+                             "' trials " + std::to_string(trials) +
+                             " jobs " + std::to_string(jobs));
+                exec::RunnerOptions runner;
+                runner.jobs = jobs;
+                expectIdentical(reference,
+                                sim.runTrials(cfg, trials, runner));
+            }
         }
     }
 }
@@ -157,7 +159,7 @@ TEST(ClusterReplay, SingleTrialMatchesRun)
     derived.seed = splitmixSeed(cfg.seed, 0);
     const ClusterSimResult direct = sim.run(derived);
     const ClusterTrialSummary trials =
-        sim.runTrials(cfg, 1, {}, TrialEngine::CompiledReplay);
+        sim.runTrials(cfg, 1);
     ASSERT_EQ(trials.trials.size(), 1u);
     EXPECT_EQ(trials.trials[0].iterationTime, direct.iterationTime);
     EXPECT_EQ(trials.trials[0].commTimePerDevice,

@@ -288,18 +288,25 @@ TEST(GraphTemplate, ReplayRejectsScratchBoundElsewhere)
     EXPECT_EQ(scratch.boundTemplate(), big.get());
     EXPECT_DOUBLE_EQ(scratch.makespan(), 10.0);
 
-    BatchScratch batch;
-    replayBatch(*small, {}, 2, batch);
-    EXPECT_THROW(replayBatch(*big, {}, 2, batch), PanicError);
-    batch.bind(*big, 3);
-    replayBatch(*big, {}, 3, batch);
-    EXPECT_DOUBLE_EQ(batch.makespan(2), 10.0);
+    const auto baseRow = [](const GraphTemplate &g) {
+        return [&g](std::size_t i, Seconds(&dur)[LaneWidth]) {
+            for (Seconds &d : dur)
+                d = g.baseDurations()[i];
+        };
+    };
+    LaneScratch lanes;
+    replayLanes(*small, lanes, baseRow(*small));
+    EXPECT_EQ(lanes.boundTemplate(), small.get());
+    EXPECT_THROW(replayLanes(*big, lanes, baseRow(*big)), PanicError);
+    lanes.bind(*big);
+    replayLanes(*big, lanes, baseRow(*big));
+    EXPECT_DOUBLE_EQ(lanes.makespan(LaneWidth - 1), 10.0);
 }
 
 /**
  * A pseudo-random layered DAG over a few resources: tasks get
  * random durations, random dependencies on earlier tasks, and a
- * random resource — the adversarial shape for the batched walk
+ * random resource — the adversarial shape for the lane walk
  * (irregular fan-in, interleaved FIFO chains).
  */
 std::shared_ptr<const GraphTemplate>
@@ -328,89 +335,101 @@ buildRandomDag(std::uint64_t seed, int num_tasks, int num_resources)
     return des.compile();
 }
 
+/** Random per-trial duration vectors for `g`, one per trial. */
+std::vector<std::vector<Seconds>>
+randomDurations(const GraphTemplate &g, std::size_t trials,
+                std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::vector<Seconds>> out(trials);
+    for (std::vector<Seconds> &d : out) {
+        d.resize(g.numTasks());
+        for (Seconds &x : d)
+            x = rng.nextDouble() + 0.01;
+    }
+    return out;
+}
+
+/** Lane walk of trials [first, first + LaneWidth), spare tail lanes
+ *  padded with base durations. */
+void
+walkBlock(const GraphTemplate &g,
+          const std::vector<std::vector<Seconds>> &trials,
+          std::size_t first, LaneScratch &lanes)
+{
+    replayLanes(g, lanes, [&](std::size_t i, Seconds(&dur)[LaneWidth]) {
+        for (std::size_t l = 0; l < LaneWidth; ++l)
+            dur[l] = first + l < trials.size() ? trials[first + l][i]
+                                               : g.baseDurations()[i];
+    });
+}
+
 TEST(BatchReplay, LaneWidthsMatchSequentialBitForBit)
 {
-    // Property test across the lane widths the dispatcher treats
-    // differently: 1 (degenerate), 4 (unrolled ISA clone), 33 (odd,
-    // generic loop).
+    // Property test: 7 trials walk as one full lane block and one
+    // 3-lane tail block; every active lane must equal a sequential
+    // replay() of its durations on every exported number.
     const std::shared_ptr<const GraphTemplate> g =
         buildRandomDag(42, 300, 4);
     const std::size_t n = g->numTasks();
+    const std::vector<std::vector<Seconds>> trials =
+        randomDurations(*g, 7, 7);
 
-    for (const std::size_t lanes : { 1u, 4u, 33u }) {
-        Rng rng(lanes);
-        std::vector<Seconds> soa(n * lanes);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t l = 0; l < lanes; ++l)
-                soa[i * lanes + l] = rng.nextDouble() + 0.01;
-
-        BatchScratch batch;
-        replayBatch(*g, soa, lanes, batch);
-
-        ReplayScratch seq;
-        seq.bind(*g);
-        std::vector<Seconds> durations(n);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            for (std::size_t i = 0; i < n; ++i)
-                durations[i] = soa[i * lanes + l];
-            replay(*g, durations, seq);
-            EXPECT_EQ(batch.makespan(l), seq.makespan())
-                << "lanes " << lanes << " lane " << l;
+    LaneScratch lanes;
+    ReplayScratch seq;
+    for (std::size_t first = 0; first < trials.size();
+         first += LaneWidth) {
+        walkBlock(*g, trials, first, lanes);
+        for (std::size_t l = 0;
+             l < LaneWidth && first + l < trials.size(); ++l) {
+            const std::size_t t = first + l;
+            replay(*g, trials[t], seq);
+            EXPECT_EQ(lanes.makespan(l), seq.makespan()) << "trial " << t;
             for (std::size_t r = 0; r < g->numResources(); ++r)
-                EXPECT_EQ(batch.busyTotal(static_cast<ResourceId>(r),
-                                          l),
+                EXPECT_EQ(lanes.busyTotal(static_cast<ResourceId>(r), l),
                           seq.busyTotal(static_cast<ResourceId>(r)))
-                    << "lanes " << lanes << " lane " << l
-                    << " resource " << r;
+                    << "trial " << t << " resource " << r;
             for (std::size_t i = 0; i < n; ++i)
-                ASSERT_EQ(
-                    batch.taskEnd(static_cast<TaskId>(i), l),
-                    seq.placements()[i].end)
-                    << "lanes " << lanes << " lane " << l << " task "
-                    << i;
+                ASSERT_EQ(lanes.taskEnd(static_cast<TaskId>(i), l),
+                          seq.placements()[i].end)
+                    << "trial " << t << " task " << i;
         }
     }
+    EXPECT_THROW(lanes.makespan(LaneWidth), PanicError);
 }
 
 TEST(BatchReplay, EmptyDurationsBroadcastBaseDurations)
 {
+    // A row callable that broadcasts the base durations reproduces
+    // replay() of the empty (base-duration) span in every lane.
     const std::shared_ptr<const GraphTemplate> g =
         buildRandomDag(43, 100, 3);
     ReplayScratch seq;
     replay(*g, {}, seq);
-    BatchScratch batch;
-    replayBatch(*g, {}, 5, batch);
-    for (std::size_t l = 0; l < 5; ++l)
-        EXPECT_EQ(batch.makespan(l), seq.makespan()) << l;
+    LaneScratch lanes;
+    walkBlock(*g, {}, 0, lanes);
+    for (std::size_t l = 0; l < LaneWidth; ++l)
+        EXPECT_EQ(lanes.makespan(l), seq.makespan()) << l;
 }
 
-TEST(BatchReplay, ConcurrentBatchedReplaysShareOneTemplate)
+TEST(BatchReplay, ConcurrentLaneWalksShareOneTemplate)
 {
-    // Thread contract for the batched walk: one immutable template,
-    // one BatchScratch per thread. (Runs under TSan via the tsan
-    // preset filter.)
+    // Thread contract for the lane walk: one immutable template, one
+    // LaneScratch per thread. (Runs under TSan via the tsan preset
+    // filter.)
     const std::shared_ptr<const GraphTemplate> g =
         buildRandomDag(44, 256, 4);
-    const std::size_t n = g->numTasks();
-    constexpr std::size_t kLanes = 8;
-
-    auto soaFor = [&](std::uint64_t seed) {
-        Rng rng(seed);
-        std::vector<Seconds> soa(n * kLanes);
-        for (Seconds &x : soa)
-            x = rng.nextDouble() + 0.01;
-        return soa;
-    };
 
     constexpr int kThreads = 8;
+    std::vector<std::vector<std::vector<Seconds>>> trials(kThreads);
     std::vector<std::vector<Seconds>> reference(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-        BatchScratch batch;
-        replayBatch(*g, soaFor(static_cast<std::uint64_t>(t)),
-                    kLanes, batch);
-        reference[t].resize(kLanes);
-        for (std::size_t l = 0; l < kLanes; ++l)
-            reference[t][l] = batch.makespan(l);
+        trials[t] = randomDurations(*g, LaneWidth,
+                                    static_cast<std::uint64_t>(t));
+        LaneScratch lanes;
+        walkBlock(*g, trials[t], 0, lanes);
+        for (std::size_t l = 0; l < LaneWidth; ++l)
+            reference[t].push_back(lanes.makespan(l));
     }
 
     std::vector<int> mismatches(kThreads, 0);
@@ -419,13 +438,11 @@ TEST(BatchReplay, ConcurrentBatchedReplaysShareOneTemplate)
         workers.reserve(kThreads);
         for (int t = 0; t < kThreads; ++t) {
             workers.emplace_back([&, t] {
-                const std::vector<Seconds> soa =
-                    soaFor(static_cast<std::uint64_t>(t));
-                BatchScratch batch;
+                LaneScratch lanes;
                 for (int i = 0; i < 50; ++i) {
-                    replayBatch(*g, soa, kLanes, batch);
-                    for (std::size_t l = 0; l < kLanes; ++l)
-                        if (batch.makespan(l) != reference[t][l])
+                    walkBlock(*g, trials[t], 0, lanes);
+                    for (std::size_t l = 0; l < LaneWidth; ++l)
+                        if (lanes.makespan(l) != reference[t][l])
                             ++mismatches[t];
                 }
             });

@@ -596,9 +596,9 @@ expectIdenticalTrials(const core::ClusterTrialSummary &a,
 TEST(PassReplay, FuseDceClusterTrialsIdenticalAcrossJobsAndEngines)
 {
     // With a pass pipeline active, trial results must still be
-    // independent of the jobs count and of the trial engine: the
-    // replay engines and run() rebuilt per trial rewrite the same
-    // graph and draw noise in the same compiled-task order.
+    // independent of the jobs count and of the engine: the lane walk
+    // and run() rebuilt per trial rewrite the same graph and draw
+    // noise in the same compiled-task order.
     const core::ClusterSim sim;
     core::ClusterSimConfig cfg = clusterConfig(0.10);
     cfg.passes = "fuse,dce";
@@ -607,14 +607,8 @@ TEST(PassReplay, FuseDceClusterTrialsIdenticalAcrossJobsAndEngines)
     for (int jobs : { 1, 2, 4 }) {
         exec::RunnerOptions runner;
         runner.jobs = jobs;
-        expectIdenticalTrials(
-            reference,
-            sim.runTrials(cfg, 6, runner,
-                          core::TrialEngine::CompiledReplay));
-        expectIdenticalTrials(
-            reference,
-            sim.runTrials(cfg, 6, runner,
-                          core::TrialEngine::BatchedReplay, 4));
+        expectIdenticalTrials(reference,
+                              sim.runTrials(cfg, 6, runner));
     }
 }
 
