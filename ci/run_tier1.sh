@@ -78,7 +78,8 @@ build-tier1/bench/sweep_throughput --jobs 2 \
 "${twocs}" validate --trace "${bench_json}"
 grep -q '"schema": "twocs-bench-1"' "${bench_json}"
 grep -q '"bench": "sweep_throughput"' "${bench_json}"
-grep -q '"configs_per_sec_stealing"' "${bench_json}"
+grep -q '"configs_per_sec_jobs1"' "${bench_json}"
+grep -q '"configs_per_sec_parallel"' "${bench_json}"
 
 echo "== tier-1: rebuild-vs-replay bench JSON carries the schema =="
 msp_json="${artifacts}/BENCH_micro_sim_perf.json"
@@ -92,6 +93,8 @@ grep -q '"tasks_per_sec_replay"' "${msp_json}"
 grep -q '"tasks_per_sec_replay_fused"' "${msp_json}"
 grep -q '"pass_chain_tasks_per_sec_replay"' "${msp_json}"
 grep -q '"pass_chain_tasks_per_sec_replay_fused"' "${msp_json}"
+grep -q '"pass_chain_replays_per_sec"' "${msp_json}"
+grep -q '"pass_chain_replays_per_sec_fused"' "${msp_json}"
 grep -q '"pass_fuse_speedup"' "${msp_json}"
 grep -q '"pass_fuse_compile_ms"' "${msp_json}"
 grep -q '"sweep_points_per_sec_rebuild"' "${msp_json}"

@@ -982,7 +982,7 @@ buildRegistry()
                       { "metrics", FlagType::String, "",
                         "write service metrics JSON here" },
                       { "proto", FlagType::Int, "2",
-                        "response protocol: 3, 2, or 1 for legacy" },
+                        "response protocol: 2 or 3" },
                       { "listen", FlagType::Int, "",
                         "serve over TCP on 127.0.0.1:PORT "
                         "(0 = ephemeral)" },

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -13,153 +14,14 @@
 
 namespace twocs::exec {
 
-namespace {
-
-/** One contiguous slice of the index range. */
-struct Chunk
-{
-    std::size_t begin = 0;
-    std::size_t end = 0;
-};
-
-/**
- * A Chase–Lev-style work-stealing deque over a fixed chunk array.
- *
- * All chunks are dealt before the workers start and the array is
- * never resized, which removes the hard parts of the classic
- * algorithm (growth, index wraparound): only `top_` and `bottom_`
- * move. The owner pops LIFO from the bottom; thieves take FIFO from
- * the top via CAS; owner and thief race only on the final element,
- * where both go through the CAS on `top_`. All accesses are seq_cst
- * — chunk dispatch is amortized over `grain` body invocations, so
- * clarity beats the relaxed-fence micro-optimization.
- */
-class ChunkDeque
-{
-  public:
-    void init(std::vector<Chunk> chunks)
-    {
-        chunks_ = std::move(chunks);
-        top_.store(0);
-        bottom_.store(static_cast<std::int64_t>(chunks_.size()));
-    }
-
-    /** Owner-only pop from the bottom. */
-    bool popBottom(Chunk &out)
-    {
-        const std::int64_t b = bottom_.load() - 1;
-        bottom_.store(b);
-        std::int64_t t = top_.load();
-        if (t > b) {
-            bottom_.store(b + 1); // deque was empty; undo
-            return false;
-        }
-        out = chunks_[static_cast<std::size_t>(b)];
-        if (t == b) {
-            // Final element: settle the race with thieves on top_.
-            const bool won = top_.compare_exchange_strong(t, t + 1);
-            bottom_.store(b + 1);
-            return won;
-        }
-        return true;
-    }
-
-    /** Thief-side steal from the top. */
-    bool steal(Chunk &out)
-    {
-        std::int64_t t = top_.load();
-        const std::int64_t b = bottom_.load();
-        if (t >= b)
-            return false;
-        // The array is immutable, so reading before the CAS is safe;
-        // a lost CAS simply discards the copy.
-        out = chunks_[static_cast<std::size_t>(t)];
-        return top_.compare_exchange_strong(t, t + 1);
-    }
-
-  private:
-    std::vector<Chunk> chunks_;
-    std::atomic<std::int64_t> top_{ 0 };
-    std::atomic<std::int64_t> bottom_{ 0 };
-};
-
-/** splitmix64: the stream each worker draws victim indices from. */
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-struct Engine
-{
-    std::vector<ChunkDeque> deques;
-    std::atomic<std::size_t> remaining{ 0 };
-    std::mutex errorMutex;
-    std::exception_ptr firstError;
-
-    detail::ChunkBody body = nullptr;
-    void *ctx = nullptr;
-
-    void execute(const Chunk &chunk)
-    {
-        try {
-            body(ctx, chunk.begin, chunk.end);
-        } catch (...) {
-            const std::lock_guard lock(errorMutex);
-            if (firstError == nullptr)
-                firstError = std::current_exception();
-        }
-        remaining.fetch_sub(1, std::memory_order_acq_rel);
-    }
-
-    void workerLoop(std::size_t self, std::uint64_t seed)
-    {
-        ChunkDeque &own = deques[self];
-        std::uint64_t rng = seed + 0x9e3779b97f4a7c15ULL * (self + 1);
-        Chunk chunk;
-        while (remaining.load(std::memory_order_acquire) > 0) {
-            if (own.popBottom(chunk)) {
-                execute(chunk);
-                continue;
-            }
-            // Own deque dry: probe victims in the order this
-            // worker's private PRNG stream dictates.
-            bool stole = false;
-            const std::size_t workers = deques.size();
-            for (std::size_t probe = 0; probe < workers; ++probe) {
-                const std::size_t victim =
-                    splitmix64(rng) % workers;
-                if (victim == self)
-                    continue;
-                if (deques[victim].steal(chunk)) {
-                    execute(chunk);
-                    stole = true;
-                    break;
-                }
-            }
-            if (!stole && remaining.load(std::memory_order_acquire) >
-                              0) {
-                // Every probe missed: straggling chunks are still in
-                // flight on other workers. Yield rather than spin.
-                std::this_thread::yield();
-            }
-        }
-    }
-};
-
-} // namespace
-
 namespace detail {
 
 std::size_t
 defaultGrain(std::size_t n, int jobs)
 {
-    // ~4 chunks per worker: enough slack that a straggler's deque is
-    // worth raiding, coarse enough that deque traffic is amortized
-    // over many body invocations.
+    // ~4 chunks per worker: enough slack that a worker stuck on an
+    // expensive chunk leaves the rest to the others, coarse enough
+    // that the shared counter is touched once per many indices.
     const std::size_t workers =
         static_cast<std::size_t>(std::max(jobs, 1));
     return std::max<std::size_t>(1, n / (4 * workers));
@@ -178,9 +40,11 @@ parallelForImpl(std::size_t n, const ParallelForOptions &options,
                              : options.jobs,
                          static_cast<int>(std::min<std::size_t>(
                              n, 1u << 16))));
-    const std::size_t grain =
-        options.grain == 0 ? defaultGrain(n, jobs)
-                           : std::max<std::size_t>(1, options.grain);
+    // A grain past n is one chunk; clamping here also keeps the
+    // chunk count below from wrapping for grains near SIZE_MAX.
+    const std::size_t grain = options.grain == 0
+                                  ? defaultGrain(n, jobs)
+                                  : std::min(options.grain, n);
 
     // One umbrella span per call on every path — including the
     // serial one — so per-label span counts are jobs-invariant.
@@ -197,49 +61,52 @@ parallelForImpl(std::size_t n, const ParallelForOptions &options,
         return;
     }
 
-    Engine engine;
-    engine.body = chunk_body;
-    engine.ctx = ctx;
-
-    // Deal the chunks round-robin before any worker starts. Chunk k
-    // covers [k*grain, min((k+1)*grain, n)) and lands on worker
-    // k % jobs, so ownership is a pure function of (n, grain, jobs).
-    const std::size_t num_chunks = (n + grain - 1) / grain;
-    const std::size_t workers = static_cast<std::size_t>(jobs);
-    std::vector<std::vector<Chunk>> dealt(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-        dealt[w].reserve(num_chunks / workers + 1);
-    for (std::size_t k = 0; k < num_chunks; ++k) {
-        dealt[k % workers].push_back(
-            { k * grain, std::min((k + 1) * grain, n) });
-    }
-    engine.deques = std::vector<ChunkDeque>(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-        engine.deques[w].init(std::move(dealt[w]));
-    engine.remaining.store(num_chunks, std::memory_order_release);
+    // Chunk k covers [k*grain, min((k+1)*grain, n)). `unclaimed`
+    // counts the chunks no worker has taken yet; a worker that
+    // decrements it from k to k-1 owns chunk k-1. Signed, because
+    // each worker overshoots past zero exactly once on its way out.
+    std::atomic<std::int64_t> unclaimed{
+        static_cast<std::int64_t>((n - 1) / grain + 1)
+    };
+    std::mutex error_mutex;
+    std::exception_ptr first_error;
+    const auto work = [&] {
+        // Claim from the highest index down: the figure grids put
+        // their most expensive configs (large H) last, so starting
+        // there keeps one of them from straggling at the very end.
+        for (std::int64_t k; (k = unclaimed.fetch_sub(1)) > 0;) {
+            const std::size_t begin =
+                static_cast<std::size_t>(k - 1) * grain;
+            try {
+                chunk_body(ctx, begin, std::min(begin + grain, n));
+            } catch (...) {
+                const std::lock_guard lock(error_mutex);
+                if (first_error == nullptr)
+                    first_error = std::current_exception();
+            }
+        }
+    };
 
     {
         std::vector<std::jthread> helpers;
-        helpers.reserve(workers - 1);
-        for (std::size_t w = 1; w < workers; ++w) {
-            helpers.emplace_back([&engine, w, seed = options.seed] {
+        helpers.reserve(static_cast<std::size_t>(jobs) - 1);
+        for (int w = 1; w < jobs; ++w) {
+            helpers.emplace_back([&work, w] {
 #ifndef TWOCS_OBS_DISABLE
                 if (obs::Tracer::mask() != 0) {
                     obs::Tracer::setThreadName(
                         "exec.steal-" + std::to_string(w));
                 }
 #endif
-                engine.workerLoop(w, seed);
+                work();
             });
         }
-        // The calling thread is worker 0.
-        engine.workerLoop(0, options.seed);
-        // jthreads join here; workerLoop only returns once every
-        // chunk has completed, so joining is prompt.
+        // The calling thread is worker 0; the jthreads join here.
+        work();
     }
 
-    if (engine.firstError != nullptr)
-        std::rethrow_exception(engine.firstError);
+    if (first_error != nullptr)
+        std::rethrow_exception(first_error);
 }
 
 } // namespace detail

@@ -1,32 +1,30 @@
 /**
  * @file
- * A chunked, work-stealing parallel index loop.
+ * A chunked parallel index loop over one shared chunk counter.
  *
  * parallelFor(n, options, body) splits the index range [0, n) into
- * contiguous chunks of ~`grain` indices, deals the chunks
- * round-robin onto per-worker Chase–Lev-style deques, and runs one
- * worker per job (the calling thread is worker 0). Each worker
- * drains its own deque LIFO from the bottom; an idle worker steals a
- * chunk FIFO from the top of a victim picked by a per-worker
- * deterministically seeded PRNG. Because every index runs exactly
- * once and writes only its own output slot, results are independent
- * of the stealing order — `--jobs 1` and `--jobs N` output stays
- * byte-identical even though the interleaving is not.
+ * contiguous chunks of ~`grain` indices and runs one worker per job
+ * (the calling thread is worker 0). A single atomic counts the
+ * chunks nobody has claimed yet; each worker claims the highest
+ * unclaimed chunk until the count reaches zero, so a worker stuck on
+ * an expensive chunk simply claims fewer of them. Because every
+ * index runs exactly once and writes only its own output slot,
+ * results are independent of which worker ran what — `--jobs 1` and
+ * `--jobs N` output stays byte-identical even though the
+ * interleaving is not.
  *
- * This is the allocation-lean fast path the ParallelSweepRunner maps
- * studies through: no per-task std::function, no shared queue mutex,
- * no condition variables on the hot path — one heap allocation per
- * call for the chunk arrays, then only atomics. The bounded-queue
- * ThreadPool (thread_pool.hh) remains for open-ended producers such
- * as the query service's batch fan-out, where tasks arrive over time
- * rather than as a known index range.
+ * This is the allocation-lean path the ParallelSweepRunner maps
+ * studies through: no per-task std::function, no queue, no mutex or
+ * condition variable on the hot path — one atomic decrement per
+ * chunk. The bounded-queue ThreadPool (thread_pool.hh) remains for
+ * open-ended producers such as the query service's batch fan-out,
+ * where tasks arrive over time rather than as a known index range.
  */
 
 #ifndef TWOCS_EXEC_PARALLEL_FOR_HH
 #define TWOCS_EXEC_PARALLEL_FOR_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <type_traits>
 
@@ -38,13 +36,10 @@ struct ParallelForOptions
     /** Workers (including the calling thread); <= 0 selects
      *  ThreadPool::defaultThreads(). */
     int jobs = 0;
-    /** Indices per chunk; 0 selects a heuristic that targets a few
-     *  chunks per worker (stealing slack without per-index cost). */
+    /** Indices per chunk, capped at n; 0 selects a heuristic
+     *  that targets a few chunks per worker (load-balancing slack
+     *  without per-index cost). */
     std::size_t grain = 0;
-    /** Seed of the per-worker victim-selection PRNG. Fixed by
-     *  default so a given (n, grain, jobs) always probes victims in
-     *  the same order — reports and span counts stay reproducible. */
-    std::uint64_t seed = 0x7c05c0de5eedULL;
 };
 
 namespace detail {
@@ -66,10 +61,10 @@ std::size_t defaultGrain(std::size_t n, int jobs);
 } // namespace detail
 
 /**
- * Run body(i) exactly once for every i in [0, n), chunked and
- * work-stolen across options.jobs workers. Blocks until every index
- * has run. The body must not touch shared mutable state except
- * through its own per-index slots (or its own synchronization).
+ * Run body(i) exactly once for every i in [0, n), chunked across
+ * options.jobs workers. Blocks until every index has run. The body
+ * must not touch shared mutable state except through its own
+ * per-index slots (or its own synchronization).
  */
 template <typename Body>
 void

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "exec/thread_pool.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -85,7 +86,6 @@ RunReport::writeJson(std::ostream &os) const
        << ",\n"
        << "  \"task_seconds_p95\": " << json::number(latencyP95())
        << ",\n"
-       << "  \"queue_high_water\": " << queueHighWater << ",\n"
        << "  \"failures\": [";
     for (std::size_t i = 0; i < failures.size(); ++i) {
         os << (i == 0 ? "\n" : ",\n")

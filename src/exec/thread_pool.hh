@@ -2,12 +2,11 @@
  * @file
  * A fixed-size worker pool over one bounded FIFO work queue.
  *
- * The pool is deliberately work-stealing-free: it serves open-ended
- * producers (the query service's batch fan-out) where tasks arrive
- * over time, so a single shared queue keeps the implementation small
- * and the scheduling easy to reason about. Known index ranges go
- * through the chunked work-stealing exec::parallelFor instead
- * (parallel_for.hh). Producers block when the queue is full (bounded
+ * The pool serves open-ended producers (the query service's batch
+ * fan-out) where tasks arrive over time, so a single shared queue
+ * keeps the implementation small and the scheduling easy to reason
+ * about. Known index ranges go through the chunked exec::parallelFor
+ * instead (parallel_for.hh). Producers block when the queue is full (bounded
  * memory even for huge sweeps) — queueHighWater()/blockedProducers()
  * plus an "exec.submit.blocked" trace instant make that backpressure
  * observable — workers drain the queue to completion on shutdown,

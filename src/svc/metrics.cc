@@ -1,6 +1,7 @@
 #include "metrics.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/graph_cache.hh"
 #include "util/json.hh"
@@ -23,16 +24,46 @@ ServiceMetrics::hitRate() const
                      static_cast<double>(requests_);
 }
 
-Seconds
-ServiceMetrics::latencyPercentile(double q) const
+void
+LatencyHistogram::record(Seconds s)
 {
-    if (latencySeconds_.empty())
+    std::size_t bucket = 0;
+    if (s >= kMinSeconds) {
+        // Compare before converting: an infinite sample must land in
+        // the last bucket, not overflow the cast.
+        const double index =
+            std::log(s / kMinSeconds) / std::log(kGrowth);
+        bucket = index < kBuckets - 1 ? static_cast<std::size_t>(index)
+                                      : kBuckets - 1;
+    }
+    ++buckets_[bucket];
+    ++count_;
+    max_ = std::max(max_, s);
+}
+
+void
+LatencyHistogram::merge(const LatencyHistogram &other)
+{
+    for (std::size_t i = 0; i < kBuckets; ++i)
+        buckets_[i] += other.buckets_[i];
+    count_ += other.count_;
+    max_ = std::max(max_, other.max_);
+}
+
+Seconds
+LatencyHistogram::percentile(double q) const
+{
+    if (count_ == 0)
         return 0.0;
-    std::vector<Seconds> xs = latencySeconds_;
-    std::sort(xs.begin(), xs.end());
-    const auto rank = static_cast<std::size_t>(
-        q * static_cast<double>(xs.size() - 1) + 0.5);
-    return xs[std::min(rank, xs.size() - 1)];
+    // The same nearest rank the exact sorted-sample form used.
+    const auto rank = std::min<std::uint64_t>(
+        count_ - 1, static_cast<std::uint64_t>(
+                        q * static_cast<double>(count_ - 1) + 0.5));
+    std::uint64_t seen = 0;
+    std::size_t bucket = 0;
+    while ((seen += buckets_[bucket]) <= rank)
+        ++bucket;
+    return std::min(max_, kMinSeconds * std::pow(kGrowth, bucket + 1));
 }
 
 void
@@ -52,20 +83,9 @@ ServiceMetrics::absorb(const ServiceMetrics &other)
     openConnections_ += other.openConnections_;
     connectionsHighWater_ =
         std::max(connectionsHighWater_, other.connectionsHighWater_);
-    latencySeconds_.insert(latencySeconds_.end(),
-                           other.latencySeconds_.begin(),
-                           other.latencySeconds_.end());
+    latency_.merge(other.latency_);
     for (const auto &[size, count] : other.batchSizes_)
         batchSizes_[size] += count;
-}
-
-Seconds
-ServiceMetrics::latencyMax() const
-{
-    Seconds max = 0.0;
-    for (const Seconds s : latencySeconds_)
-        max = std::max(max, s);
-    return max;
 }
 
 void

@@ -2,12 +2,13 @@
  * @file
  * The query service's metrics registry.
  *
- * Counters (requests, cache hits, misses, failures), a nearest-rank
- * latency reservoir (p50/p95 over per-request service time) and a
- * power-of-two batch-size histogram. The registry is recorded from
- * the service's single-threaded commit phase only, so it needs no
- * locks and its *counters* are a deterministic function of the input
- * stream — which is why the `stats` query kind exposes only the
+ * Counters (requests, cache hits, misses, failures), a fixed
+ * log-bucket latency histogram (p50/p95/p99 over per-request service
+ * time, in constant memory however long the server runs) and a
+ * batch-size histogram. The registry is recorded from the service's
+ * single-threaded commit phase only, so it needs no locks and its
+ * *counters* are a deterministic function of the input stream —
+ * which is why the `stats` query kind exposes only the
  * counters, while the wall-clock latency percentiles are exported
  * exclusively through `--metrics FILE` (they vary run to run and
  * would break the byte-identical `--jobs` contract if they appeared
@@ -17,6 +18,7 @@
 #ifndef TWOCS_SVC_METRICS_HH
 #define TWOCS_SVC_METRICS_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -27,7 +29,39 @@
 
 namespace twocs::svc {
 
-/** Single-writer counters + latency reservoir for one service. */
+/**
+ * Latency samples folded into a fixed set of log-spaced buckets.
+ * Bucket i covers [kMinSeconds * kGrowth^i, kMinSeconds *
+ * kGrowth^(i+1)); the first bucket also takes everything shorter and
+ * the last everything longer. A percentile is reported as the upper
+ * edge of the bucket holding the nearest-rank sample (capped at the
+ * exact maximum), so it is at most one 2% bucket above the exact
+ * value. Holds no heap memory: recording never grows it.
+ */
+class LatencyHistogram
+{
+  public:
+    static constexpr Seconds kMinSeconds = 1e-7;
+    static constexpr double kGrowth = 1.02;
+    /** kMinSeconds * kGrowth^1200 is about 35 minutes. */
+    static constexpr std::size_t kBuckets = 1200;
+
+    void record(Seconds s);
+    /** Sum the other histogram's buckets into this one. */
+    void merge(const LatencyHistogram &other);
+
+    /** Nearest-rank percentile, to bucket resolution (0 if empty). */
+    Seconds percentile(double q) const;
+    /** Exact largest sample (0 if empty). */
+    Seconds max() const { return max_; }
+
+  private:
+    std::array<std::uint64_t, kBuckets> buckets_{};
+    std::uint64_t count_ = 0;
+    Seconds max_ = 0.0;
+};
+
+/** Single-writer counters + latency histogram for one service. */
 class ServiceMetrics
 {
   public:
@@ -52,7 +86,7 @@ class ServiceMetrics
     void recordBatch(std::size_t size);
 
     /** Per-request service latency sample. */
-    void recordLatency(Seconds s) { latencySeconds_.push_back(s); }
+    void recordLatency(Seconds s) { latency_.record(s); }
 
     /** A request rejected by admission control (load shedding). */
     void recordShed() { ++sheds_; }
@@ -105,20 +139,23 @@ class ServiceMetrics
 
     /**
      * Fold another registry into this one: counters and histograms
-     * sum, high-water marks take the max, latency reservoirs
-     * concatenate. The socket front-end aggregates its per-shard
-     * service registries this way before writing `--metrics`.
+     * sum, high-water marks take the max. The socket front-end
+     * aggregates its per-shard service registries this way before
+     * writing `--metrics`.
      */
     void absorb(const ServiceMetrics &other);
 
     /** Hits over requests (0 when no requests yet). */
     double hitRate() const;
 
-    /** Nearest-rank percentile of the latency reservoir. */
-    Seconds latencyPercentile(double q) const;
+    /** Nearest-rank latency percentile, to bucket resolution. */
+    Seconds latencyPercentile(double q) const
+    {
+        return latency_.percentile(q);
+    }
 
-    /** Largest latency sample (0 when the reservoir is empty). */
-    Seconds latencyMax() const;
+    /** Largest latency sample (0 when none was recorded). */
+    Seconds latencyMax() const { return latency_.max(); }
 
     /**
      * Write the full registry as a JSON document (the `--metrics
@@ -148,7 +185,7 @@ class ServiceMetrics
     std::uint64_t connectionsOpened_ = 0;
     std::uint64_t openConnections_ = 0;
     std::uint64_t connectionsHighWater_ = 0;
-    std::vector<Seconds> latencySeconds_;
+    LatencyHistogram latency_;
     /** batch size -> occurrence count. */
     std::map<std::size_t, std::uint64_t> batchSizes_;
 };

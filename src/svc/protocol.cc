@@ -772,28 +772,22 @@ tryExtractIdJson(const std::string &line)
 }
 
 std::string
-errorResponseLine(int proto, const std::string &idJson,
-                  const char *code, const std::string &message,
+errorResponseLine(const std::string &idJson, const char *code,
+                  const std::string &message,
                   const std::string &extraJson)
 {
     std::string line = "{";
     if (!idJson.empty())
         line += "\"id\":" + idJson + ",";
-    if (proto <= 1) {
-        line += "\"status\":\"error\",\"message\":" +
-                json::quote(message);
-    } else {
-        line += "\"status\":\"error\",\"error\":{\"code\":";
-        line += json::quote(code);
-        line += ",\"message\":";
-        line += json::quote(message);
-        if (!extraJson.empty()) {
-            line += ',';
-            line += extraJson;
-        }
-        line += "}";
+    line += "\"status\":\"error\",\"error\":{\"code\":";
+    line += json::quote(code);
+    line += ",\"message\":";
+    line += json::quote(message);
+    if (!extraJson.empty()) {
+        line += ',';
+        line += extraJson;
     }
-    line += "}";
+    line += "}}";
     return line;
 }
 

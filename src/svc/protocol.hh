@@ -140,22 +140,22 @@ std::uint64_t fnv1a(std::string_view s);
 
 /**
  * Best-effort extraction of the `id` field's raw JSON token from a
- * request line that failed strict parsing, so proto-v2 error
- * responses can still echo the id. Returns "" when no plausible id
- * is found; never throws.
+ * request line that failed strict parsing, so error responses can
+ * still echo the id. Returns "" when no plausible id is found; never
+ * throws.
  */
 std::string tryExtractIdJson(const std::string &line);
 
 /**
  * A complete response line (no trailing newline) for a failure
  * detected outside the batching pipeline — admission-control
- * shedding and overlong-line drops in the network front-end. Proto
- * v2 renders the structured `error` object with `code`; v1 the
- * legacy flat `message`. `extraJson` (e.g. `"retry_after_ms":50`)
- * is spliced into the v2 error object verbatim; `idJson` is echoed
- * when non-empty, exactly like eval errors from the service.
+ * shedding and overlong-line drops in the network front-end — with
+ * the structured `error` object. `extraJson` (e.g.
+ * `"retry_after_ms":50`) is spliced into the error object verbatim;
+ * `idJson` is echoed when non-empty, exactly like eval errors from
+ * the service.
  */
-std::string errorResponseLine(int proto, const std::string &idJson,
+std::string errorResponseLine(const std::string &idJson,
                               const char *code,
                               const std::string &message,
                               const std::string &extraJson = "");

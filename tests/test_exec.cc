@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -113,16 +114,19 @@ TEST(ThreadPool, IdlePoolReportsNoBackpressure)
     EXPECT_EQ(pool.blockedProducers(), 0u);
 }
 
-// --- work-stealing parallelFor ---
+// --- chunk-counter parallelFor ---
 
 TEST(ParallelFor, EveryIndexRunsExactlyOnceUnderAdversarialShapes)
 {
     // Ranges and grains chosen to hit every boundary: empty, single,
-    // primes (chunks never divide evenly), grain > range, and a
-    // grain so large one chunk holds everything.
+    // primes (chunks never divide evenly), grain > range, a grain so
+    // large one chunk holds everything, and SIZE_MAX, where an
+    // unclamped (n + grain - 1) / grain chunk count wraps to 0.
     const std::size_t ranges[] = { 0, 1, 2, 3, 97, 196, 256 };
-    const std::size_t grains[] = { 0, 1, 2, 3, 5, 7, 64, 997,
-                                   std::size_t{ 1 } << 40 };
+    const std::size_t grains[] = {
+        0, 1, 2, 3, 5, 7, 64, 997, std::size_t{ 1 } << 40,
+        std::numeric_limits<std::size_t>::max()
+    };
     for (const std::size_t n : ranges) {
         for (const std::size_t grain : grains) {
             for (const int jobs : { 1, 2, 3, 8 }) {
@@ -145,10 +149,10 @@ TEST(ParallelFor, EveryIndexRunsExactlyOnceUnderAdversarialShapes)
 
 TEST(ParallelFor, StealingStressIsRaceFree)
 {
-    // Grain 1 with wildly uneven work maximizes deque traffic: every
-    // chunk is a steal candidate and the skewed chunks force idle
-    // workers to raid. Run under the tsan preset, this is the data
-    // race check of the deque.
+    // Grain 1 with wildly uneven work maximizes claim traffic: every
+    // index is its own chunk and the skewed chunks leave workers
+    // racing on the shared counter at different rates. Run under the
+    // tsan preset, this is the data race check of the counter.
     constexpr std::size_t kN = 10000;
     std::vector<std::atomic<int>> hits(kN);
     std::atomic<std::int64_t> sum{ 0 };
@@ -156,11 +160,11 @@ TEST(ParallelFor, StealingStressIsRaceFree)
     o.jobs = 8;
     o.grain = 1;
     exec::parallelFor(kN, o, [&](std::size_t i) {
-        // Index-dependent spin so early chunks straggle.
+        // Index-dependent spin so every 97th chunk straggles.
         volatile std::int64_t acc = 0;
         const int spins = i % 97 == 0 ? 2000 : 10;
         for (int s = 0; s < spins; ++s)
-            acc += s;
+            acc = acc + s;
         sum.fetch_add(static_cast<std::int64_t>(i));
         hits[i].fetch_add(1);
     });
@@ -194,8 +198,8 @@ TEST(ParallelFor, DefaultGrainTargetsAFewChunksPerWorker)
 {
     EXPECT_EQ(exec::detail::defaultGrain(0, 4), 1u);
     EXPECT_EQ(exec::detail::defaultGrain(3, 4), 1u);
-    // 196 configs at 4 workers: ~16 chunks of ~12, stealing slack
-    // without per-index deque traffic.
+    // 196 configs at 4 workers: ~16 chunks of ~12, load-balancing
+    // slack without a counter claim per index.
     EXPECT_EQ(exec::detail::defaultGrain(196, 4), 12u);
     EXPECT_GE(exec::detail::defaultGrain(1 << 20, 8), 1u << 15);
 }
@@ -358,44 +362,6 @@ TEST(ParallelSweepRunner, JobsClampToTaskCount)
     EXPECT_EQ(runner.lastReport().jobs, 3);
 }
 
-TEST(ParallelSweepRunner, SubmitPerTaskBaselineMatchesWorkStealing)
-{
-    // The two engines must be observationally identical on results;
-    // only their scheduling (and the bench numbers) differ.
-    std::vector<int> configs(53);
-    std::iota(configs.begin(), configs.end(), 0);
-    const auto runWith = [&](exec::Scheduler scheduler) {
-        exec::RunnerOptions o;
-        o.jobs = 4;
-        o.scheduler = scheduler;
-        exec::ParallelSweepRunner runner(o);
-        return runner.map(configs,
-                          [](const int &i) { return 7 * i - 2; });
-    };
-    EXPECT_EQ(runWith(exec::Scheduler::WorkStealing),
-              runWith(exec::Scheduler::SubmitPerTask));
-}
-
-TEST(ParallelSweepRunner, QueueHighWaterSurfacesOnBaselineOnly)
-{
-    std::vector<int> configs(40);
-    const auto reportWith = [&](exec::Scheduler scheduler) {
-        exec::RunnerOptions o;
-        o.jobs = 4;
-        o.scheduler = scheduler;
-        exec::ParallelSweepRunner runner(o);
-        runner.map(configs, [](const int &i) { return i; });
-        return runner.lastReport();
-    };
-    // Submit-per-task funnels every config through the bounded
-    // queue; work stealing never touches it.
-    EXPECT_GE(reportWith(exec::Scheduler::SubmitPerTask)
-                  .queueHighWater,
-              1u);
-    EXPECT_EQ(reportWith(exec::Scheduler::WorkStealing).queueHighWater,
-              0u);
-}
-
 TEST(RunReport, JsonHasDocumentedSchema)
 {
     exec::RunReport r;
@@ -419,8 +385,6 @@ TEST(RunReport, JsonHasDocumentedSchema)
     EXPECT_NE(json.find("\"task_seconds_p50\": 0.5"),
               std::string::npos);
     EXPECT_NE(json.find("\"task_seconds_p95\": 0.75"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"queue_high_water\": 0"),
               std::string::npos);
     EXPECT_NE(json.find("{ \"index\": 1, \"message\": \"bad\\nrow\" }"),
               std::string::npos)

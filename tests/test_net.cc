@@ -460,12 +460,10 @@ TEST(NetStream, OverlongLineAnswersInArrivalOrderAndResyncs)
 
 TEST(NetStream, OverlongResponseLineShapePerProto)
 {
-    const std::string v2 = net::overlongResponseLine(2, 3, 500, 128);
-    EXPECT_NE(v2.find("\"error\":{\"code\":\"line_too_long\""),
-              std::string::npos);
-    const std::string v1 = net::overlongResponseLine(1, 3, 500, 128);
-    EXPECT_NE(v1.find("\"status\":\"error\""), std::string::npos);
-    EXPECT_EQ(v1.find("\"code\""), std::string::npos);
+    const std::string line = net::overlongResponseLine(3, 500, 128);
+    EXPECT_NE(line.find("\"error\":{\"code\":\"line_too_long\""),
+              std::string::npos)
+        << line;
 }
 
 // --- loopback end-to-end ---

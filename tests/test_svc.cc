@@ -8,12 +8,16 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include "cli/commands.hh"
 #include "core/amdahl.hh"
@@ -22,6 +26,7 @@
 #include "net/stream.hh"
 #include "sim/graph.hh"
 #include "svc/cache.hh"
+#include "svc/metrics.hh"
 #include "svc/protocol.hh"
 #include "svc/service.hh"
 #include "test_common.hh"
@@ -419,6 +424,53 @@ TEST(SvcService, MetricsFileReportsTheRun)
     EXPECT_THROW(doomed.serve(in2, out2), FatalError);
 }
 
+TEST(SvcMetrics, LatencyHistogramIsBoundedAndWithinOneBucket)
+{
+    // A trivially copyable histogram owns no heap memory.
+    static_assert(std::is_trivially_copyable_v<svc::LatencyHistogram>);
+
+    // 1e6 samples log-uniform over [1 us, 100 ms), drawn from the
+    // standard-specified mt19937_64 stream so the data is fixed.
+    constexpr std::size_t kSamples = 1000000;
+    std::mt19937_64 rng(42);
+    std::vector<Seconds> samples(kSamples);
+    for (Seconds &s : samples) {
+        const double u = static_cast<double>(rng() >> 11) * 0x1p-53;
+        s = 1e-6 * std::pow(1e5, u);
+    }
+
+    // Recording a million requests allocates nothing: the registry
+    // of a long-running server does not grow with its request count.
+    // Heap bytes in use: arena chunks plus mmap-ed large blocks.
+    const auto heap = [] {
+        const struct mallinfo2 info = ::mallinfo2();
+        return info.uordblks + info.hblkhd;
+    };
+    svc::ServiceMetrics whole, first, second;
+    const std::size_t heap_before = heap();
+    for (std::size_t i = 0; i < kSamples; ++i) {
+        whole.recordLatency(samples[i]);
+        (i % 2 == 0 ? first : second).recordLatency(samples[i]);
+    }
+    EXPECT_EQ(heap(), heap_before);
+    first.absorb(second);
+
+    std::sort(samples.begin(), samples.end());
+    for (const double q : { 0.50, 0.95, 0.99 }) {
+        const Seconds exact = samples[static_cast<std::size_t>(
+            q * static_cast<double>(kSamples - 1) + 0.5)];
+        const Seconds got = whole.latencyPercentile(q);
+        // The upper edge of the exact value's bucket, so within one
+        // 2% bucket of it.
+        EXPECT_GE(got, exact / svc::LatencyHistogram::kGrowth) << q;
+        EXPECT_LE(got, exact * svc::LatencyHistogram::kGrowth) << q;
+        EXPECT_EQ(first.latencyPercentile(q), got) << q;
+    }
+    EXPECT_EQ(whole.latencyMax(), samples.back());
+    EXPECT_EQ(first.latencyMax(), samples.back());
+    EXPECT_EQ(whole.latencyPercentile(1.0), samples.back());
+}
+
 // --- response protocol v2 ---
 
 TEST(SvcProto, V2ErrorsCarryStructuredErrorObject)
@@ -466,40 +518,6 @@ TEST(SvcProto, V2StatsReportsProtocolVersion)
     EXPECT_NE(stats.find("\"kind\":\"stats\",\"proto\":2,"),
               std::string::npos)
         << stats;
-}
-
-TEST(SvcProto, V1KeepsTheLegacyFlatErrorShape)
-{
-    svc::ServiceOptions options;
-    options.protoVersion = 1;
-    svc::QueryService service(options);
-    const std::string err = service.handle(
-        "{\"id\": 7, \"kind\": \"project\", \"hiden\": 1}");
-    // Legacy shape: flat message, no error object, no id echo on
-    // parse errors.
-    EXPECT_EQ(err.rfind("{\"status\":\"error\",\"message\":\"", 0),
-              0u)
-        << err;
-    EXPECT_EQ(err.find("\"error\":{"), std::string::npos);
-    const std::string stats = service.handle("{\"kind\": \"stats\"}");
-    EXPECT_EQ(stats.find("\"proto\""), std::string::npos) << stats;
-
-    svc::ServiceOptions bad;
-    bad.protoVersion = 4;
-    EXPECT_THROW(svc::QueryService{ bad }, FatalError);
-}
-
-TEST(SvcProto, OkPayloadsAreIdenticalAcrossVersions)
-{
-    // The cache key and every success payload are version-invariant;
-    // only diagnostics and stats metadata differ.
-    const std::string req =
-        "{\"kind\": \"project\", \"hidden\": 8192, \"tp\": 16}";
-    svc::ServiceOptions v1;
-    v1.protoVersion = 1;
-    svc::QueryService legacy(v1);
-    svc::QueryService modern;
-    EXPECT_EQ(legacy.handle(req), modern.handle(req));
 }
 
 TEST(SvcProto, IdTokenExtractionIsBestEffort)
@@ -820,6 +838,27 @@ TEST(SvcCli, ServeRejectsBadFlagsAndMissingInput)
                  FatalError);
     EXPECT_THROW(rc({ "twocs", "serve", "--batch", "0" }),
                  FatalError);
+}
+
+TEST(SvcCli, ServeRejectsProtoOutsideTwoAndThree)
+{
+    // The v1 flat error shape is gone; only v2 and v3 are served.
+    for (const char *proto : { "1", "4" }) {
+        const std::vector<const char *> argv = { "twocs", "serve",
+                                                 "--proto", proto };
+        const cli::Args args = cli::Args::parse(
+            static_cast<int>(argv.size()), argv.data());
+        try {
+            cli::runCommand(args);
+            FAIL() << "serve accepted --proto " << proto;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "--proto must be 2 or 3, got " +
+                          std::string(proto)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 } // namespace
