@@ -4,9 +4,8 @@
 #
 #   1. `tier1`  — full RelWithDebInfo build + the whole ctest suite.
 #   2. `tsan`   — ThreadSanitizer build; runs the concurrency-bearing
-#                 suites (exec ThreadPool/parallelFor/
-#                 ParallelSweepRunner, the svc query service and the
-#                 obs tracer) under TSan.
+#                 suites (exec parallelFor/ParallelSweepRunner, the
+#                 svc query service and the obs tracer) under TSan.
 #      `asan`   — AddressSanitizer + UndefinedBehaviorSanitizer build;
 #                 runs the whole suite. Any report fails the gate.
 #   3. obs gate — a traced sweep must produce a trace.json that the
@@ -30,7 +29,11 @@
 #                 sweep --figure 12` under a full `--parallel` plan
 #                 (flat and hierarchical topology) must be
 #                 byte-identical across --jobs.
-#   6. loopback serve smoke — `twocs serve --listen` with a 2-deep
+#   6. serve determinism — a fixed mixed request stream
+#                 (ci/serve_mixed.jsonl) must get byte-identical
+#                 responses at `--jobs 1` and `--jobs 4`, at
+#                 `--proto 2` and `3`.
+#      loopback serve smoke — `twocs serve --listen` with a 2-deep
 #                 shard queue is saturated over TCP by the
 #                 svc_throughput --connect driver: every request must
 #                 be answered (computed or a structured `overloaded`
@@ -180,6 +183,18 @@ f12_rebuild="$("${twocs}" sweep --figure 12 --engine rebuild --jobs 1)"
     --jobs 1)" ]
 [ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine delta \
     --jobs 4)" ]
+
+echo "== tier-1: serve byte-identical across --jobs =="
+# ci/serve_mixed.jsonl mixes every compute kind, a 3D plan, a
+# duplicate, a parse error, an eval error, an overlong line and a
+# stats query, all with ids. The distinct misses fan out over
+# parallelFor at --jobs 4; the response bytes may not change.
+for proto in 2 3; do
+    serve_flags="--proto ${proto} --max-line-bytes 256"
+    [ "$("${twocs}" serve ${serve_flags} --jobs 1 < ci/serve_mixed.jsonl)" \
+        = "$("${twocs}" serve ${serve_flags} --jobs 4 \
+            < ci/serve_mixed.jsonl)" ]
+done
 
 echo "== tier-1: loopback serve smoke (shed under saturation, clean drain) =="
 serve_log="build-tier1/ci_serve.log"

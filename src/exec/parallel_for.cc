@@ -2,30 +2,201 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exec/thread_pool.hh"
 #include "obs/obs.hh"
 
 namespace twocs::exec {
 
-namespace detail {
+namespace {
 
-std::size_t
-defaultGrain(std::size_t n, int jobs)
+/** One parallelFor() call; lives on its caller's stack. */
+struct Job
 {
-    // ~4 chunks per worker: enough slack that a worker stuck on an
-    // expensive chunk leaves the rest to the others, coarse enough
-    // that the shared counter is touched once per many indices.
-    const std::size_t workers =
-        static_cast<std::size_t>(std::max(jobs, 1));
-    return std::max<std::size_t>(1, n / (4 * workers));
+    Job(detail::ChunkBody chunk_body, void *chunk_ctx,
+        std::size_t min_chunk, int jobs, std::size_t n)
+        : body(chunk_body), ctx(chunk_ctx), minChunk(min_chunk),
+          divisor(4 * static_cast<std::size_t>(jobs)), end(n),
+          openSlots(jobs - 1)
+    {
+    }
+
+    detail::ChunkBody body;
+    void *ctx;
+    std::size_t minChunk;
+    /** 4 * jobs: a claim takes ~1/divisor of what is left. */
+    std::size_t divisor;
+    /** Upper end of the unclaimed range [0, end). */
+    std::atomic<std::size_t> end;
+    /** Helpers that may still join; guarded by WorkerSet::mutex_. */
+    int openSlots;
+    /** Helpers inside work(); guarded by WorkerSet::mutex_. */
+    int active = 0;
+    std::mutex errorMutex;
+    std::exception_ptr firstError;
+
+    /** Claim and run chunks until the range is spent. Every claim
+     *  size is a function of `end` alone, so the chunk boundaries
+     *  are the same whichever thread wins each CAS. */
+    void
+    work()
+    {
+        // Claim from the highest index down: the figure grids put
+        // their most expensive configs (large H) last, so starting
+        // there keeps one of them from straggling at the very end.
+        std::size_t hi = end.load(std::memory_order_relaxed);
+        while (hi != 0) {
+            const std::size_t size =
+                std::min(hi, std::max(minChunk, hi / divisor));
+            // Relaxed: the results a chunk writes reach the caller
+            // through WorkerSet::mutex_, not through this counter.
+            if (!end.compare_exchange_weak(hi, hi - size,
+                                           std::memory_order_relaxed))
+                continue;
+            try {
+                body(ctx, hi - size, hi);
+            } catch (...) {
+                const std::lock_guard lock(errorMutex);
+                if (firstError == nullptr)
+                    firstError = std::current_exception();
+            }
+            hi = end.load(std::memory_order_relaxed);
+        }
+    }
+};
+
+/** The process-wide helpers every parallelFor() call shares. */
+class WorkerSet
+{
+  public:
+    static WorkerSet &
+    instance()
+    {
+        static WorkerSet set;
+        return set;
+    }
+
+    WorkerSet(const WorkerSet &) = delete;
+    WorkerSet &operator=(const WorkerSet &) = delete;
+
+    ~WorkerSet()
+    {
+        {
+            const std::lock_guard lock(mutex_);
+            stopping_ = true;
+        }
+        wake_.notify_all();
+        // workers_ is the last member: the jthreads join before the
+        // state they read is destroyed.
+    }
+
+    /** Run `job` on the calling thread plus up to job.openSlots
+     *  workers, returning once every chunk has finished. */
+    void
+    run(Job &job)
+    {
+        const int helpers = job.openSlots;
+        {
+            std::unique_lock lock(mutex_);
+            const auto want = static_cast<std::size_t>(helpers);
+            while (workers_.size() < want) {
+                const std::size_t id = workers_.size() + 1;
+                workers_.emplace_back([this, id] { workerLoop(id); });
+            }
+            // A new worker registers its trace lane on start. Let it
+            // finish now: a worker still starting at process exit
+            // would race the tracer's static teardown.
+            done_.wait(lock,
+                       [this] { return started_ == workers_.size(); });
+            jobs_.push_back(&job);
+        }
+        for (int h = 0; h < helpers; ++h)
+            wake_.notify_one();
+
+        job.work();
+
+        // Close the job to new helpers, then wait out the ones still
+        // inside one of its chunks.
+        std::unique_lock lock(mutex_);
+        jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+        done_.wait(lock, [&job] { return job.active == 0; });
+    }
+
+  private:
+    WorkerSet() = default;
+
+    /** Oldest job with a free helper slot and work left. */
+    Job *
+    openJob() const
+    {
+        for (Job *job : jobs_) {
+            if (job->openSlots > 0 &&
+                job->end.load(std::memory_order_relaxed) != 0)
+                return job;
+        }
+        return nullptr;
+    }
+
+    void
+    workerLoop(std::size_t id)
+    {
+#ifndef TWOCS_OBS_DISABLE
+        // Named once, whether or not tracing is on yet: the lane
+        // lives as long as the thread, i.e. the whole process.
+        obs::Tracer::setThreadName("exec.worker-" + std::to_string(id));
+#else
+        (void)id;
+#endif
+        std::unique_lock lock(mutex_);
+        ++started_;
+        done_.notify_all();
+        for (;;) {
+            Job *job = nullptr;
+            wake_.wait(lock, [&] {
+                return stopping_ || (job = openJob()) != nullptr;
+            });
+            if (stopping_)
+                return;
+            --job->openSlots;
+            ++job->active;
+            lock.unlock();
+            job->work();
+            lock.lock();
+            if (--job->active == 0)
+                done_.notify_all();
+        }
+    }
+
+    std::mutex mutex_;
+    /** Signalled when a job opens or the set stops. */
+    std::condition_variable wake_;
+    /** Signalled when a worker starts or a job's last helper
+     *  leaves it. */
+    std::condition_variable done_;
+    /** Workers that have reached their wait loop. */
+    std::size_t started_ = 0;
+    /** Jobs helpers may join, oldest first. */
+    std::vector<Job *> jobs_;
+    bool stopping_ = false;
+    /** Last member so workers join before any state above dies. */
+    std::vector<std::jthread> workers_;
+};
+
+} // namespace
+
+int
+defaultJobs()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
 }
+
+namespace detail {
 
 void
 parallelForImpl(std::size_t n, const ParallelForOptions &options,
@@ -35,23 +206,23 @@ parallelForImpl(std::size_t n, const ParallelForOptions &options,
         return;
 
     const int jobs = std::max(
-        1, std::min<int>(options.jobs <= 0
-                             ? ThreadPool::defaultThreads()
-                             : options.jobs,
+        1, std::min<int>(options.jobs <= 0 ? defaultJobs()
+                                           : options.jobs,
                          static_cast<int>(std::min<std::size_t>(
                              n, 1u << 16))));
-    // A grain past n is one chunk; clamping here also keeps the
-    // chunk count below from wrapping for grains near SIZE_MAX.
-    const std::size_t grain = options.grain == 0
-                                  ? defaultGrain(n, jobs)
-                                  : std::min(options.grain, n);
+    const std::size_t min_chunk =
+        std::clamp<std::size_t>(options.grain, 1, n);
 
     // One umbrella span per call on every path — including the
-    // serial one — so per-label span counts are jobs-invariant.
+    // serial one — so per-label span counts are jobs-invariant. Its
+    // `grain` is the first, largest chunk a claim takes.
     TWOCS_OBS_SPAN(obs::Category::Exec, "exec.parallel_for",
-                   [n, grain, jobs] {
+                   [n, min_chunk, jobs] {
+                       const std::size_t first = std::max(
+                           min_chunk,
+                           n / (4 * static_cast<std::size_t>(jobs)));
                        return "n=" + std::to_string(n) +
-                              " grain=" + std::to_string(grain) +
+                              " grain=" + std::to_string(first) +
                               " jobs=" + std::to_string(jobs);
                    });
 
@@ -61,52 +232,11 @@ parallelForImpl(std::size_t n, const ParallelForOptions &options,
         return;
     }
 
-    // Chunk k covers [k*grain, min((k+1)*grain, n)). `unclaimed`
-    // counts the chunks no worker has taken yet; a worker that
-    // decrements it from k to k-1 owns chunk k-1. Signed, because
-    // each worker overshoots past zero exactly once on its way out.
-    std::atomic<std::int64_t> unclaimed{
-        static_cast<std::int64_t>((n - 1) / grain + 1)
-    };
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    const auto work = [&] {
-        // Claim from the highest index down: the figure grids put
-        // their most expensive configs (large H) last, so starting
-        // there keeps one of them from straggling at the very end.
-        for (std::int64_t k; (k = unclaimed.fetch_sub(1)) > 0;) {
-            const std::size_t begin =
-                static_cast<std::size_t>(k - 1) * grain;
-            try {
-                chunk_body(ctx, begin, std::min(begin + grain, n));
-            } catch (...) {
-                const std::lock_guard lock(error_mutex);
-                if (first_error == nullptr)
-                    first_error = std::current_exception();
-            }
-        }
-    };
+    Job job(chunk_body, ctx, min_chunk, jobs, n);
+    WorkerSet::instance().run(job);
 
-    {
-        std::vector<std::jthread> helpers;
-        helpers.reserve(static_cast<std::size_t>(jobs) - 1);
-        for (int w = 1; w < jobs; ++w) {
-            helpers.emplace_back([&work, w] {
-#ifndef TWOCS_OBS_DISABLE
-                if (obs::Tracer::mask() != 0) {
-                    obs::Tracer::setThreadName(
-                        "exec.steal-" + std::to_string(w));
-                }
-#endif
-                work();
-            });
-        }
-        // The calling thread is worker 0; the jthreads join here.
-        work();
-    }
-
-    if (first_error != nullptr)
-        std::rethrow_exception(first_error);
+    if (job.firstError != nullptr)
+        std::rethrow_exception(job.firstError);
 }
 
 } // namespace detail

@@ -1,24 +1,28 @@
 /**
  * @file
- * A chunked parallel index loop over one shared chunk counter.
+ * A parallel index loop over one process-wide set of worker threads.
  *
- * parallelFor(n, options, body) splits the index range [0, n) into
- * contiguous chunks of ~`grain` indices and runs one worker per job
- * (the calling thread is worker 0). A single atomic counts the
- * chunks nobody has claimed yet; each worker claims the highest
- * unclaimed chunk until the count reaches zero, so a worker stuck on
- * an expensive chunk simply claims fewer of them. Because every
- * index runs exactly once and writes only its own output slot,
- * results are independent of which worker ran what — `--jobs 1` and
- * `--jobs N` output stays byte-identical even though the
- * interleaving is not.
+ * parallelFor(n, options, body) runs body(i) for every i in [0, n) on
+ * up to options.jobs threads: the calling thread (worker 0) plus
+ * helpers from a worker set that is started on first use, lives for
+ * the whole process and grows to the largest `jobs - 1` any call has
+ * asked for. Each claim takes the top
+ * `max(minChunk, remaining / (4 * jobs))` indices of the still
+ * unclaimed range [0, remaining) with one CAS, so the first chunk is
+ * ~1/16 of a 4-job range and the last chunks are `minChunk` indices
+ * each: a worker stuck on an expensive chunk leaves the rest to the
+ * others, and the call ends on single indices instead of one long
+ * straggler. Because every index runs exactly once and writes only
+ * its own output slot, results are independent of which worker ran
+ * what — `--jobs 1` and `--jobs N` output stays byte-identical even
+ * though the interleaving is not.
  *
- * This is the allocation-lean path the ParallelSweepRunner maps
- * studies through: no per-task std::function, no queue, no mutex or
- * condition variable on the hot path — one atomic decrement per
- * chunk. The bounded-queue ThreadPool (thread_pool.hh) remains for
- * open-ended producers such as the query service's batch fan-out,
- * where tasks arrive over time rather than as a known index range.
+ * The calling thread always claims chunks of its own call, so a map
+ * started from inside another map's body, or from several threads at
+ * once, makes progress even when every helper is busy; it then waits
+ * only for helpers still inside one of its chunks. No call spawns a
+ * thread on its hot path, and this worker set is the only thread
+ * owner in `exec`.
  */
 
 #ifndef TWOCS_EXEC_PARALLEL_FOR_HH
@@ -30,15 +34,16 @@
 
 namespace twocs::exec {
 
+/** hardware_concurrency() with a floor of one. */
+int defaultJobs();
+
 /** Knobs of one parallelFor() call. */
 struct ParallelForOptions
 {
     /** Workers (including the calling thread); <= 0 selects
-     *  ThreadPool::defaultThreads(). */
+     *  defaultJobs(). */
     int jobs = 0;
-    /** Indices per chunk, capped at n; 0 selects a heuristic
-     *  that targets a few chunks per worker (load-balancing slack
-     *  without per-index cost). */
+    /** Smallest chunk a claim takes, capped at n; 0 means 1. */
     std::size_t grain = 0;
 };
 
@@ -54,9 +59,6 @@ using ChunkBody = void (*)(void *ctx, std::size_t begin,
  *  ParallelSweepRunner does). */
 void parallelForImpl(std::size_t n, const ParallelForOptions &options,
                      ChunkBody chunk_body, void *ctx);
-
-/** The grain parallelForImpl uses when options.grain == 0. */
-std::size_t defaultGrain(std::size_t n, int jobs);
 
 } // namespace detail
 

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "exec/thread_pool.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -29,7 +28,7 @@ percentile(std::vector<Seconds> xs, double q)
 int
 RunnerOptions::effectiveJobs() const
 {
-    return jobs <= 0 ? ThreadPool::defaultThreads() : jobs;
+    return jobs <= 0 ? defaultJobs() : jobs;
 }
 
 RunnerOptions

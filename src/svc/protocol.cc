@@ -772,23 +772,38 @@ tryExtractIdJson(const std::string &line)
 }
 
 std::string
-errorResponseLine(const std::string &idJson, const char *code,
-                  const std::string &message,
-                  const std::string &extraJson)
+responseLine(const std::string &idJson, const std::string &members)
 {
     std::string line = "{";
     if (!idJson.empty())
         line += "\"id\":" + idJson + ",";
-    line += "\"status\":\"error\",\"error\":{\"code\":";
-    line += json::quote(code);
-    line += ",\"message\":";
-    line += json::quote(message);
-    if (!extraJson.empty()) {
-        line += ',';
-        line += extraJson;
-    }
-    line += "}}";
+    line += members;
+    line += "}";
     return line;
+}
+
+std::string
+errorMembers(const char *code, const std::string &message,
+             const std::string &extraJson)
+{
+    std::string out = "\"status\":\"error\",\"error\":{\"code\":";
+    out += json::quote(code);
+    out += ",\"message\":";
+    out += json::quote(message);
+    if (!extraJson.empty()) {
+        out += ',';
+        out += extraJson;
+    }
+    out += "}";
+    return out;
+}
+
+std::string
+errorResponseLine(const std::string &idJson, const char *code,
+                  const std::string &message,
+                  const std::string &extraJson)
+{
+    return responseLine(idJson, errorMembers(code, message, extraJson));
 }
 
 } // namespace twocs::svc

@@ -147,13 +147,28 @@ std::uint64_t fnv1a(std::string_view s);
 std::string tryExtractIdJson(const std::string &line);
 
 /**
- * A complete response line (no trailing newline) for a failure
- * detected outside the batching pipeline — admission-control
- * shedding and overlong-line drops in the network front-end — with
- * the structured `error` object. `extraJson` (e.g.
- * `"retry_after_ms":50`) is spliced into the error object verbatim;
- * `idJson` is echoed when non-empty, exactly like eval errors from
- * the service.
+ * A complete response line (no trailing newline): `{`, then
+ * `"id":<idJson>,` when idJson is non-empty, then `members`, then
+ * `}`.
+ */
+std::string responseLine(const std::string &idJson,
+                         const std::string &members);
+
+/**
+ * The members of a failure response:
+ * `"status":"error","error":{"code":...,"message":...}`, with
+ * `extraJson` (e.g. `"retry_after_ms":50`) spliced into the error
+ * object verbatim when non-empty. Every error the service or the
+ * network front-end answers is rendered here.
+ */
+std::string errorMembers(const char *code, const std::string &message,
+                         const std::string &extraJson = "");
+
+/**
+ * A complete response line for a failure detected outside the
+ * batching pipeline — admission-control shedding and overlong-line
+ * drops in the network front-end: responseLine(idJson,
+ * errorMembers(code, message, extraJson)).
  */
 std::string errorResponseLine(const std::string &idJson,
                               const char *code,

@@ -12,7 +12,7 @@
 #include "core/slack.hh"
 #include "core/system_config.hh"
 #include "exec/scratch_pool.hh"
-#include "exec/thread_pool.hh"
+#include "exec/parallel_for.hh"
 #include "hw/catalog.hh"
 #include "model/layer_graph.hh"
 #include "model/memory.hh"
@@ -54,33 +54,18 @@ extractByteOffset(const std::string &message)
 }
 
 /**
- * Response fragment for a failed request: the diagnostic wrapped in
- * a structured error object.
+ * Response members for a failed request: the diagnostic wrapped in
+ * a structured error object, plus the parser's byte offset when the
+ * message names one.
  */
 std::string
 errorPayload(const char *code, const std::string &message)
 {
-    std::string out = "\"status\":\"error\",\"error\":{\"code\":";
-    out += json::quote(code);
-    out += ",\"message\":";
-    out += json::quote(message);
     const int offset = extractByteOffset(message);
-    if (offset >= 0)
-        out += ",\"offset\":" + std::to_string(offset);
-    out += "}";
-    return out;
-}
-
-/** Assemble a full response line from an id token and a payload. */
-std::string
-assemble(const std::string &id_json, const std::string &payload)
-{
-    std::string line = "{";
-    if (!id_json.empty())
-        line += "\"id\":" + id_json + ",";
-    line += payload;
-    line += "}";
-    return line;
+    return errorMembers(code, message,
+                        offset >= 0 ? "\"offset\":" +
+                                          std::to_string(offset)
+                                    : std::string());
 }
 
 std::string
@@ -174,16 +159,7 @@ QueryService::~QueryService() = default;
 int
 QueryService::effectiveJobs() const
 {
-    return options_.jobs <= 0 ? exec::ThreadPool::defaultThreads()
-                              : options_.jobs;
-}
-
-exec::ThreadPool &
-QueryService::pool()
-{
-    if (!pool_)
-        pool_ = std::make_unique<exec::ThreadPool>(effectiveJobs());
-    return *pool_;
+    return options_.jobs <= 0 ? exec::defaultJobs() : options_.jobs;
 }
 
 const QueryService::SystemEntry &
@@ -531,37 +507,32 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
         }
     }
 
-    // Phase 2: evaluate the distinct misses — inline at one job (the
-    // historical sequential order), fanned out over the pool
-    // otherwise. Workers only touch their own entry. The svc.evaluate
-    // span is the task's only instrumentation on both paths, so span
-    // counts are jobs-invariant.
+    // Phase 2: evaluate the distinct misses over parallelFor — at
+    // one job the inline loop in arrival order. Workers only touch
+    // their own entry. The svc.evaluate span is the task's only
+    // instrumentation, so span counts are jobs-invariant.
     {
         TWOCS_OBS_SPAN(obs::Category::Svc, "svc.batch.evaluate");
-        const auto runOne = [this](BatchEntry &e) {
-            TWOCS_OBS_SPAN(obs::Category::Svc, "svc.evaluate");
-            const auto start = Clock::now();
-            try {
-                e.payload = evaluate(e.query, *e.system, e.perturb);
-            } catch (const FatalError &ex) {
-                e.failed = true;
-                e.payload = errorPayload("eval_error", ex.what());
-            }
-            e.seconds += elapsed(start);
-        };
-        if (effectiveJobs() == 1) {
-            for (BatchEntry &e : entries) {
-                if (e.outcome == Outcome::Compute)
-                    runOne(e);
-            }
-        } else {
-            exec::ThreadPool &workers = pool();
-            for (BatchEntry &e : entries) {
-                if (e.outcome == Outcome::Compute)
-                    workers.submit([&e, &runOne] { runOne(e); });
-            }
-            workers.drain();
+        std::vector<std::size_t> misses;
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            if (entries[i].outcome == Outcome::Compute)
+                misses.push_back(i);
         }
+        exec::parallelFor(
+            misses.size(),
+            exec::ParallelForOptions{ .jobs = effectiveJobs() },
+            [&](std::size_t k) {
+                BatchEntry &e = entries[misses[k]];
+                TWOCS_OBS_SPAN(obs::Category::Svc, "svc.evaluate");
+                const auto start = Clock::now();
+                try {
+                    e.payload = evaluate(e.query, *e.system, e.perturb);
+                } catch (const FatalError &ex) {
+                    e.failed = true;
+                    e.payload = errorPayload("eval_error", ex.what());
+                }
+                e.seconds += elapsed(start);
+            });
     }
 
     // Phase 3 (sequential, arrival order): resolve duplicates,
@@ -621,7 +592,7 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
                 break;
             }
             metrics_.recordLatency(e.seconds);
-            out << assemble(e.idJson, e.body()) << "\n";
+            out << responseLine(e.idJson, e.body()) << "\n";
         }
     }
     out.flush();

@@ -1,21 +1,22 @@
 /**
  * @file
- * Tests for the parallel study-execution engine: the ThreadPool, the
+ * Tests for the parallel study-execution engine: parallelFor, the
  * ParallelSweepRunner's deterministic aggregation contract (`--jobs 1`
  * and `--jobs N` agree byte-for-byte), the RunReport observability
  * record, and the CLI surface that exposes them.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <thread>
 
 #include "cli/commands.hh"
@@ -24,97 +25,14 @@
 #include "core/sweep.hh"
 #include "exec/parallel_for.hh"
 #include "exec/parallel_runner.hh"
-#include "exec/thread_pool.hh"
+#include "obs/obs.hh"
 #include "test_common.hh"
 #include "util/logging.hh"
 
 namespace twocs {
 namespace {
 
-// --- thread pool ---
-
-TEST(ThreadPool, RunsEveryTask)
-{
-    std::atomic<int> count{ 0 };
-    {
-        // Tiny queue so submit() exercises the bounded-capacity
-        // blocking path.
-        exec::ThreadPool pool(4, 4);
-        for (int i = 0; i < 200; ++i)
-            pool.submit([&] { count.fetch_add(1); });
-        pool.drain();
-        EXPECT_EQ(count.load(), 200);
-    }
-    EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, DrainRethrowsFirstTaskException)
-{
-    exec::ThreadPool pool(2);
-    std::atomic<int> ran{ 0 };
-    pool.submit([&] { ran.fetch_add(1); });
-    pool.submit([] { throw std::runtime_error("task boom"); });
-    pool.submit([&] { ran.fetch_add(1); });
-    try {
-        pool.drain();
-        FAIL() << "drain() should rethrow the task exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "task boom");
-    }
-    EXPECT_EQ(ran.load(), 2); // the failure does not cancel siblings
-}
-
-TEST(ThreadPool, DestructorFinishesSubmittedWork)
-{
-    std::atomic<int> count{ 0 };
-    {
-        exec::ThreadPool pool(3);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&] { count.fetch_add(1); });
-        // No drain(): the destructor must still run everything.
-    }
-    EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ThreadCountSelection)
-{
-    EXPECT_GE(exec::ThreadPool::defaultThreads(), 1);
-    EXPECT_EQ(exec::ThreadPool(3).numThreads(), 3);
-    EXPECT_EQ(exec::ThreadPool(0).numThreads(),
-              exec::ThreadPool::defaultThreads());
-}
-
-TEST(ThreadPool, BackpressureCountersSeeTheFullQueue)
-{
-    exec::ThreadPool pool(1, 2);
-    std::promise<void> release;
-    std::shared_future<void> gate = release.get_future().share();
-    // Park the only worker, then overfill the bounded queue: the
-    // last submit() must block and be counted as a blocked producer.
-    pool.submit([gate] { gate.wait(); });
-    pool.submit([] {});
-    pool.submit([] {});
-    std::thread unblocker([&release] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        release.set_value();
-    });
-    pool.submit([] {}); // queue is full until the gate opens
-    pool.drain();
-    unblocker.join();
-    EXPECT_EQ(pool.queueHighWater(), 2u);
-    EXPECT_GE(pool.blockedProducers(), 1u);
-}
-
-TEST(ThreadPool, IdlePoolReportsNoBackpressure)
-{
-    exec::ThreadPool pool(2);
-    pool.submit([] {});
-    pool.drain();
-    EXPECT_LE(pool.queueHighWater(), 1u);
-    EXPECT_EQ(pool.blockedProducers(), 0u);
-}
-
-// --- chunk-counter parallelFor ---
+// --- parallelFor ---
 
 TEST(ParallelFor, EveryIndexRunsExactlyOnceUnderAdversarialShapes)
 {
@@ -194,14 +112,129 @@ TEST(ParallelFor, BodyExceptionPropagatesToCaller)
     }
 }
 
-TEST(ParallelFor, DefaultGrainTargetsAFewChunksPerWorker)
+TEST(ParallelFor, ChunksShrinkFromTheTopDown)
 {
-    EXPECT_EQ(exec::detail::defaultGrain(0, 4), 1u);
-    EXPECT_EQ(exec::detail::defaultGrain(3, 4), 1u);
-    // 196 configs at 4 workers: ~16 chunks of ~12, load-balancing
-    // slack without a counter claim per index.
-    EXPECT_EQ(exec::detail::defaultGrain(196, 4), 12u);
-    EXPECT_GE(exec::detail::defaultGrain(1 << 20, 8), 1u << 15);
+    // Every claim takes max(minChunk, end / (4 * jobs)) indices off
+    // the top of [0, end), so the chunk set is fixed by n and jobs
+    // alone, whichever thread wins each claim.
+    for (const std::size_t n : { 1, 97, 250, 196 }) {
+        struct Record
+        {
+            std::mutex mutex;
+            std::vector<std::pair<std::size_t, std::size_t>> chunks;
+        } record;
+        exec::detail::parallelForImpl(
+            n, exec::ParallelForOptions{ .jobs = 4 },
+            [](void *ctx, std::size_t begin, std::size_t end) {
+                auto &r = *static_cast<Record *>(ctx);
+                const std::lock_guard lock(r.mutex);
+                r.chunks.emplace_back(begin, end);
+            },
+            &record);
+        std::sort(record.chunks.begin(), record.chunks.end());
+
+        const std::size_t jobs = std::min<std::size_t>(4, n);
+        const std::size_t min_chunk = 1;
+        std::size_t next = 0;
+        for (const auto &[begin, end] : record.chunks) {
+            ASSERT_EQ(begin, next) << "n=" << n; // tiles [0, n)
+            EXPECT_EQ(end - begin,
+                      std::min(end, std::max(min_chunk,
+                                             end / (4 * jobs))))
+                << "n=" << n << " chunk [" << begin << ", " << end
+                << ")";
+            next = end;
+        }
+        EXPECT_EQ(next, n);
+        EXPECT_EQ(record.chunks.front().second, min_chunk) << "n=" << n;
+    }
+}
+
+TEST(ParallelFor, NestedMapsFromWorkersComplete)
+{
+    // Every outer index runs an inner map on whichever thread owns
+    // it; the inner caller claims its own chunks, so the maps finish
+    // even while every helper is busy in the outer one.
+    constexpr std::size_t kOuter = 64;
+    constexpr std::size_t kInner = 97;
+    std::vector<std::int64_t> sums(kOuter, 0);
+    exec::parallelFor(
+        kOuter, exec::ParallelForOptions{ .jobs = 4 },
+        [&](std::size_t i) {
+            std::vector<std::int64_t> inner(kInner, 0);
+            exec::parallelFor(
+                kInner, exec::ParallelForOptions{ .jobs = 4 },
+                [&](std::size_t j) {
+                    inner[j] = static_cast<std::int64_t>(i * j);
+                });
+            sums[i] = std::accumulate(inner.begin(), inner.end(),
+                                      std::int64_t{ 0 });
+        });
+    for (std::size_t i = 0; i < kOuter; ++i) {
+        EXPECT_EQ(sums[i],
+                  static_cast<std::int64_t>(i * kInner * (kInner - 1) /
+                                            2))
+            << i;
+    }
+}
+
+TEST(ParallelFor, ConcurrentCallersShareWorkers)
+{
+    // Four threads each run maps at jobs 4 against the one worker
+    // set; every result must still be exact.
+    constexpr int kCallers = 4;
+    constexpr int kMaps = 50;
+    constexpr std::size_t kN = 250;
+    std::vector<int> bad(kCallers, 0);
+    {
+        std::vector<std::thread> callers;
+        for (int c = 0; c < kCallers; ++c) {
+            callers.emplace_back([c, &bad] {
+                for (int m = 0; m < kMaps; ++m) {
+                    std::vector<std::size_t> out(kN, 0);
+                    exec::parallelFor(
+                        kN, exec::ParallelForOptions{ .jobs = 4 },
+                        [&](std::size_t i) {
+                            out[i] = i * static_cast<std::size_t>(
+                                             c + m + 1);
+                        });
+                    for (std::size_t i = 0; i < kN; ++i) {
+                        if (out[i] !=
+                            i * static_cast<std::size_t>(c + m + 1))
+                            ++bad[static_cast<std::size_t>(c)];
+                    }
+                }
+            });
+        }
+        for (std::thread &t : callers)
+            t.join();
+    }
+    for (int c = 0; c < kCallers; ++c)
+        EXPECT_EQ(bad[static_cast<std::size_t>(c)], 0) << c;
+}
+
+TEST(ParallelFor, TracedMapsRegisterBoundedLanes)
+{
+    // Helpers are persistent, so tracing 50 maps registers at most
+    // one lane per helper, not one per helper per call.
+    obs::Tracer::reset();
+    obs::Tracer::enable();
+    {
+        // Register the calling thread's own lane first.
+        TWOCS_OBS_SPAN(obs::Category::Exec, "test.lanes");
+    }
+    const std::size_t before = obs::Tracer::snapshot().laneNames.size();
+    exec::RunnerOptions o;
+    o.jobs = 4;
+    exec::ParallelSweepRunner runner(o);
+    std::vector<int> configs(97);
+    std::iota(configs.begin(), configs.end(), 0);
+    for (int m = 0; m < 50; ++m)
+        runner.map(configs, [](const int &i) { return i + 1; });
+    const std::size_t after = obs::Tracer::snapshot().laneNames.size();
+    obs::Tracer::disable();
+    obs::Tracer::reset();
+    EXPECT_LE(after, before + 3);
 }
 
 // --- runner options ---

@@ -160,6 +160,32 @@ TEST(SvcProtocol, Fnv1aMatchesReferenceVectors)
     EXPECT_EQ(svc::fnv1a("foobar"), 0x85944171f73967e8ull);
 }
 
+TEST(SvcProtocol, ErrorResponsesKeepTheirWireBytes)
+{
+    // Shed, overlong-line, parse and eval errors all render through
+    // svc::errorMembers; pin the exact bytes of each.
+    EXPECT_EQ(svc::errorResponseLine("7", "overloaded", "full",
+                                     "\"retry_after_ms\":50"),
+              "{\"id\":7,\"status\":\"error\",\"error\":{\"code\":"
+              "\"overloaded\",\"message\":\"full\","
+              "\"retry_after_ms\":50}}");
+    EXPECT_EQ(svc::errorResponseLine("", "line_too_long", "a \"b\""),
+              "{\"status\":\"error\",\"error\":{\"code\":"
+              "\"line_too_long\",\"message\":\"a \\\"b\\\"\"}}");
+
+    svc::QueryService service;
+    EXPECT_EQ(service.handle("{\"id\": \"x\", \"kind\": }"),
+              "{\"id\":\"x\",\"status\":\"error\",\"error\":{\"code\":"
+              "\"parse_error\",\"message\":\"line 1: byte 20: "
+              "expected a value for field 'kind'\",\"offset\":20}}");
+    EXPECT_EQ(service.handle("{\"id\": 2, \"kind\": \"perturb\", "
+                             "\"perturb\": {\"task\": 1000000}}"),
+              "{\"id\":2,\"status\":\"error\",\"error\":{\"code\":"
+              "\"eval_error\",\"message\":\"perturb.task 1000000 is "
+              "out of range: this case-study graph has 744 tasks "
+              "(0..743)\"}}");
+}
+
 // --- the result cache ---
 
 namespace {
