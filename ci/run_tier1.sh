@@ -29,6 +29,10 @@
 #                 sweep --figure 12` under a full `--parallel` plan
 #                 (flat and hierarchical topology) must be
 #                 byte-identical across --jobs.
+#      projection goldens — `twocs sweep --figure 10`, `--figure 12`
+#                 (model engine) and `twocs serve` over
+#                 ci/serve_project.jsonl must reproduce the committed
+#                 ci/golden/ files byte for byte at `--jobs 1` and 4.
 #   6. serve determinism — a fixed mixed request stream
 #                 (ci/serve_mixed.jsonl) must get byte-identical
 #                 responses at `--jobs 1` and `--jobs 4`, at
@@ -183,6 +187,19 @@ f12_rebuild="$("${twocs}" sweep --figure 12 --engine rebuild --jobs 1)"
     --jobs 1)" ]
 [ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine delta \
     --jobs 4)" ]
+
+echo "== tier-1: projection goldens byte-identical at --jobs 1 and 4 =="
+# Committed outputs of the op-by-op projection: the layer-block walk
+# must reproduce every Fig. 10/12 row and every project response
+# (flat tp, 3D plans, ground truth, eval errors) bit for bit.
+for j in 1 4; do
+    "${twocs}" sweep --figure 10 --jobs "${j}" \
+        | cmp ci/golden/sweep_fig10.txt -
+    "${twocs}" sweep --figure 12 --jobs "${j}" \
+        | cmp ci/golden/sweep_fig12.txt -
+    "${twocs}" serve --jobs "${j}" < ci/serve_project.jsonl \
+        | cmp ci/golden/serve_project.jsonl -
+done
 
 echo "== tier-1: serve byte-identical across --jobs =="
 # ci/serve_mixed.jsonl mixes every compute kind, a 3D plan, a

@@ -828,7 +828,8 @@ buildRegistry()
         { "trace-out", FlagType::String, "",
           "write a span trace of this run here" },
         { "trace-categories", FlagType::String, "all",
-          "exec,svc,sim,comm,cli,bench,net or all" },
+          "exec,svc,sim,comm,cli,bench,net,model,opmodel,"
+          "profiling or all" },
         { "trace-format", FlagType::String, "chrome",
           "trace file format: chrome|folded" },
     };

@@ -1,5 +1,6 @@
 #include "layer_graph.hh"
 
+#include "obs/obs.hh"
 #include "util/logging.hh"
 
 namespace twocs::model {
@@ -485,38 +486,37 @@ LayerGraphBuilder::backwardLayerOps(int layer, bool final_micro) const
 }
 
 std::vector<TrainingOp>
+LayerGraphBuilder::stepOps(IterationStep step, int layer) const
+{
+    switch (step) {
+      case IterationStep::Forward:
+        return forwardLayerOps(layer);
+      case IterationStep::BackwardFinal:
+        return backwardLayerOps(layer, true);
+      case IterationStep::BackwardAccumulate:
+        return backwardLayerOps(layer, false);
+      case IterationStep::PpSendFwd:
+        return { commOp(OpRole::PpSendFwd, SubLayer::FeedForward, layer,
+                        ppBoundaryBytes()) };
+      case IterationStep::PpSendBwd:
+        return { commOp(OpRole::PpSendBwd, SubLayer::Attention, layer,
+                        ppBoundaryBytes()) };
+    }
+    panic("unknown iteration step");
+}
+
+std::vector<TrainingOp>
 LayerGraphBuilder::iterationOps() const
 {
-    // One device's stream: its pipeline stage's layers, once per
-    // micro-batch. With pp == 1 this is the whole model once — the
-    // paper's original iteration.
-    const int stage_layers = hp_.numLayers / par_.ppDegree;
-    const bool pipelined = par_.ppDegree > 1;
-
+    TWOCS_OBS_SPAN_VAR(span, obs::Category::Model, "model.iteration_ops");
     std::vector<TrainingOp> ops;
-    for (int micro = 0; micro < par_.microBatches; ++micro) {
-        for (int l = 0; l < stage_layers; ++l) {
-            auto layer_ops = forwardLayerOps(l);
-            ops.insert(ops.end(), layer_ops.begin(), layer_ops.end());
-        }
-        if (pipelined) {
-            // The micro-batch's activations cross to the next stage.
-            push(ops, commOp(OpRole::PpSendFwd, SubLayer::FeedForward,
-                             stage_layers - 1, ppBoundaryBytes()));
-        }
-    }
-    for (int micro = 0; micro < par_.microBatches; ++micro) {
-        const bool final_micro = micro == par_.microBatches - 1;
-        for (int l = stage_layers - 1; l >= 0; --l) {
-            auto layer_ops = backwardLayerOps(l, final_micro);
-            ops.insert(ops.end(), layer_ops.begin(), layer_ops.end());
-        }
-        if (pipelined) {
-            // The micro-batch's input gradient returns upstream.
-            push(ops, commOp(OpRole::PpSendBwd, SubLayer::Attention, 0,
-                             ppBoundaryBytes()));
-        }
-    }
+    forEachIterationStep([&](IterationStep step, int layer) {
+        auto step_ops = stepOps(step, layer);
+        ops.insert(ops.end(), step_ops.begin(), step_ops.end());
+    });
+    TWOCS_OBS_ANNOTATE(span, [&] {
+        return "ops=" + std::to_string(ops.size());
+    });
     return ops;
 }
 

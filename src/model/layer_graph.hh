@@ -92,6 +92,24 @@ struct TrainingOp
     }
 };
 
+/**
+ * One step of a training iteration's walk: a layer block (the ops
+ * forwardLayerOps() or backwardLayerOps() emit for one layer) or a
+ * pipeline-stage boundary send. Blocks of one kind differ only in
+ * their ops' `layerIndex`.
+ */
+enum class IterationStep
+{
+    Forward,            //!< forwardLayerOps(layer)
+    BackwardFinal,      //!< backwardLayerOps(layer, true)
+    BackwardAccumulate, //!< backwardLayerOps(layer, false)
+    PpSendFwd,          //!< one PpSendFwd activation send
+    PpSendBwd,          //!< one PpSendBwd gradient send
+};
+
+/** Number of IterationStep kinds (for per-kind tables). */
+inline constexpr int kIterationStepKinds = 5;
+
 /** Emits the per-layer / per-iteration operator streams. */
 class LayerGraphBuilder
 {
@@ -145,6 +163,43 @@ class LayerGraphBuilder
      * paper's original all-layer stream.
      */
     std::vector<TrainingOp> iterationOps() const;
+
+    /**
+     * The single source of truth for iteration order: calls
+     * `visit(IterationStep, int layer)` once per step, in the order
+     * iterationOps() concatenates them. The walk builds no ops;
+     * stepOps() expands one step.
+     */
+    template <typename Visit>
+    void forEachIterationStep(Visit &&visit) const
+    {
+        // One device's stream: its pipeline stage's layers, once per
+        // micro-batch. With pp == 1 this is the whole model once —
+        // the paper's original iteration.
+        const int stage_layers = hp_.numLayers / par_.ppDegree;
+        const bool pipelined = par_.ppDegree > 1;
+        for (int micro = 0; micro < par_.microBatches; ++micro) {
+            for (int l = 0; l < stage_layers; ++l)
+                visit(IterationStep::Forward, l);
+            // The micro-batch's activations cross to the next stage.
+            if (pipelined)
+                visit(IterationStep::PpSendFwd, stage_layers - 1);
+        }
+        for (int micro = 0; micro < par_.microBatches; ++micro) {
+            const IterationStep bwd =
+                micro == par_.microBatches - 1
+                    ? IterationStep::BackwardFinal
+                    : IterationStep::BackwardAccumulate;
+            for (int l = stage_layers - 1; l >= 0; --l)
+                visit(bwd, l);
+            // The micro-batch's input gradient returns upstream.
+            if (pipelined)
+                visit(IterationStep::PpSendBwd, 0);
+        }
+    }
+
+    /** The ops of one iteration step at `layer`. */
+    std::vector<TrainingOp> stepOps(IterationStep step, int layer) const;
 
     /**
      * Forward-only operator stream over all layers: the inference

@@ -53,10 +53,13 @@ enum class Category : unsigned
     Cli = 1u << 4,   //!< top-level CLI command handlers
     Bench = 1u << 5, //!< bench drivers
     Net = 1u << 6,   //!< network front-end (accept/read/dispatch/shed)
+    Model = 1u << 7,     //!< operator-stream construction
+    Opmodel = 1u << 8,   //!< operator-model projection
+    Profiling = 1u << 9, //!< iteration profiling on the cost models
 };
 
 /** Mask selecting every category. */
-inline constexpr unsigned kAllCategories = 0x7fu;
+inline constexpr unsigned kAllCategories = 0x3ffu;
 
 /** Lower-case category name ("exec", "svc", ...). */
 const char *categoryName(Category category);
@@ -207,6 +210,15 @@ class Span
         }
     }
 
+    /** Replace the args once the spanned work is done (a count it
+     *  produced); `args_fn` runs only while this span records. */
+    template <typename ArgsFn>
+    void annotate(ArgsFn &&args_fn)
+    {
+        if (lane_ != nullptr)
+            args_ = std::forward<ArgsFn>(args_fn)();
+    }
+
     ~Span()
     {
         if (lane_ != nullptr)
@@ -237,9 +249,19 @@ void instant(Category category, const char *label,
 /**
  * TWOCS_OBS_SPAN(category, label [, argsFn]) — a scoped span that is
  * removed entirely under -DTWOCS_OBS_DISABLE.
+ *
+ * TWOCS_OBS_SPAN_VAR(var, category, label) names the span so that
+ * TWOCS_OBS_ANNOTATE(var, argsFn) can set its args after the work;
+ * both are removed under -DTWOCS_OBS_DISABLE as well.
  */
 #ifdef TWOCS_OBS_DISABLE
 #define TWOCS_OBS_SPAN(...) \
+    do { \
+    } while (false)
+#define TWOCS_OBS_SPAN_VAR(...) \
+    do { \
+    } while (false)
+#define TWOCS_OBS_ANNOTATE(...) \
     do { \
     } while (false)
 #define TWOCS_OBS_INSTANT(...) \
@@ -251,6 +273,8 @@ void instant(Category category, const char *label,
 #define TWOCS_OBS_SPAN(...) \
     const ::twocs::obs::Span TWOCS_OBS_CONCAT(twocs_obs_span_, \
                                               __LINE__)(__VA_ARGS__)
+#define TWOCS_OBS_SPAN_VAR(var, ...) ::twocs::obs::Span var(__VA_ARGS__)
+#define TWOCS_OBS_ANNOTATE(var, ...) var.annotate(__VA_ARGS__)
 /** Args are only evaluated when the category is being traced. */
 #define TWOCS_OBS_INSTANT(category, ...) \
     do { \

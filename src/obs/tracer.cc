@@ -131,6 +131,12 @@ categoryName(Category category)
         return "bench";
       case Category::Net:
         return "net";
+      case Category::Model:
+        return "model";
+      case Category::Opmodel:
+        return "opmodel";
+      case Category::Profiling:
+        return "profiling";
     }
     return "unknown";
 }
@@ -139,9 +145,10 @@ unsigned
 categoryMaskFromList(const std::string &list)
 {
     static constexpr Category kAll[] = {
-        Category::Exec, Category::Svc,  Category::Sim,
-        Category::Comm, Category::Cli,  Category::Bench,
-        Category::Net,
+        Category::Exec,  Category::Svc,     Category::Sim,
+        Category::Comm,  Category::Cli,     Category::Bench,
+        Category::Net,   Category::Model,   Category::Opmodel,
+        Category::Profiling,
     };
 
     unsigned mask = 0;
@@ -169,7 +176,8 @@ categoryMaskFromList(const std::string &list)
             }
         }
         fatalIf(!known, "unknown trace category '", name,
-                "' (exec, svc, sim, comm, cli, bench, net or all)");
+                "' (exec, svc, sim, comm, cli, bench, net, model, ",
+                "opmodel, profiling or all)");
     }
     fatalIf(!any,
             "--trace-categories expects a non-empty category list");

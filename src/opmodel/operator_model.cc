@@ -1,5 +1,9 @@
 #include "operator_model.hh"
 
+#include <array>
+#include <vector>
+
+#include "obs/obs.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -163,38 +167,81 @@ OperatorScalingModel::projectOp(const model::TrainingOp &op) const
     return it->second.duration * pred / it->second.predictor;
 }
 
+namespace {
+
+/** The breakdown field an op of `role` accumulates into. */
+Seconds ProjectedBreakdown::*
+roleField(model::OpRole role)
+{
+    switch (role) {
+      case model::OpRole::FwdCompute:
+        return &ProjectedBreakdown::fwdCompute;
+      case model::OpRole::BwdCompute:
+        return &ProjectedBreakdown::bwdCompute;
+      case model::OpRole::OptimizerStep:
+        return &ProjectedBreakdown::optimizer;
+      case model::OpRole::TpAllReduceFwd:
+      case model::OpRole::TpAllReduceBwd:
+      case model::OpRole::EpAllToAll:
+      case model::OpRole::PpSendFwd:
+      case model::OpRole::PpSendBwd:
+      case model::OpRole::ZeroParamAllGather:
+        return &ProjectedBreakdown::serializedComm;
+      case model::OpRole::DpAllReduce:
+      case model::OpRole::DpReduceScatter:
+      case model::OpRole::DpAllGather:
+        return &ProjectedBreakdown::dpComm;
+    }
+    panic("unknown op role");
+}
+
+/** One projected op of a step block: its duration and its field. */
+struct ProjectedOp
+{
+    Seconds ProjectedBreakdown::*field;
+    Seconds time;
+};
+
+} // namespace
+
 ProjectedBreakdown
 OperatorScalingModel::projectIteration(
     const model::LayerGraphBuilder &target) const
 {
+    TWOCS_OBS_SPAN_VAR(span, obs::Category::Opmodel,
+                       "opmodel.project_iteration");
+    // Blocks of one step kind differ only in their ops' layerIndex,
+    // which projectOp() never reads: project the first block of each
+    // kind the walk meets, then replay its times for every step. Each
+    // time is added on its own, in op order, so every field is the
+    // same sum, bit for bit, as projecting op by op (never t * count,
+    // which rounds differently), and the first op without a baseline
+    // fails at the same point.
+    std::array<std::vector<ProjectedOp>, model::kIterationStepKinds>
+        blocks;
+    std::size_t ops = 0, steps = 0;
     ProjectedBreakdown pb;
-    for (const model::TrainingOp &op : target.iterationOps()) {
-        const Seconds t = projectOp(op);
-        switch (op.role) {
-          case model::OpRole::FwdCompute:
-            pb.fwdCompute += t;
-            break;
-          case model::OpRole::BwdCompute:
-            pb.bwdCompute += t;
-            break;
-          case model::OpRole::OptimizerStep:
-            pb.optimizer += t;
-            break;
-          case model::OpRole::TpAllReduceFwd:
-          case model::OpRole::TpAllReduceBwd:
-          case model::OpRole::EpAllToAll:
-          case model::OpRole::PpSendFwd:
-          case model::OpRole::PpSendBwd:
-          case model::OpRole::ZeroParamAllGather:
-            pb.serializedComm += t;
-            break;
-          case model::OpRole::DpAllReduce:
-          case model::OpRole::DpReduceScatter:
-          case model::OpRole::DpAllGather:
-            pb.dpComm += t;
-            break;
+    target.forEachIterationStep([&](model::IterationStep step,
+                                    int layer) {
+        std::vector<ProjectedOp> &block =
+            blocks[static_cast<std::size_t>(step)];
+        if (block.empty()) {
+            for (const model::TrainingOp &op : target.stepOps(step, layer))
+                block.push_back({ roleField(op.role), projectOp(op) });
         }
-    }
+        for (const ProjectedOp &p : block)
+            pb.*p.field += p.time;
+        ops += block.size();
+        ++steps;
+    });
+    TWOCS_OBS_ANNOTATE(span, [&] {
+        std::size_t distinct = 0;
+        for (const std::vector<ProjectedOp> &block : blocks)
+            distinct += block.size();
+        return "ops=" + std::to_string(ops) +
+               " blocks=" + std::to_string(steps) +
+               " projected=" + std::to_string(distinct);
+    });
     return pb;
 }
 

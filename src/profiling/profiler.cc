@@ -1,5 +1,6 @@
 #include "profiler.hh"
 
+#include "obs/obs.hh"
 #include "util/logging.hh"
 
 namespace twocs::profiling {
@@ -188,7 +189,13 @@ Profile
 IterationProfiler::profileIteration(
     const model::LayerGraphBuilder &graph) const
 {
-    return profileOps(graph.iterationOps(), graph.parallel());
+    TWOCS_OBS_SPAN_VAR(span, obs::Category::Profiling,
+                       "profiling.profile_iteration");
+    Profile profile = profileOps(graph.iterationOps(), graph.parallel());
+    TWOCS_OBS_ANNOTATE(span, [&] {
+        return "ops=" + std::to_string(profile.size());
+    });
+    return profile;
 }
 
 Profile

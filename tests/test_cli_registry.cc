@@ -163,8 +163,8 @@ TEST(CliRegistry, GoldenHelpPageForSweep)
         "  --report STR            write the RunReport JSON here\n"
         "  --trace-out STR         write a span trace of this run"
         " here\n"
-        "  --trace-categories STR  exec,svc,sim,comm,cli,bench,net"
-        " or all (default: all)\n"
+        "  --trace-categories STR  exec,svc,sim,comm,cli,bench,net,"
+        "model,opmodel,profiling or all (default: all)\n"
         "  --trace-format STR      trace file format: chrome|folded"
         " (default: chrome)\n");
 }
@@ -277,8 +277,8 @@ TEST(CliRegistry, GoldenHelpPageForCluster)
         "  --report STR            write the RunReport JSON here\n"
         "  --trace-out STR         write a span trace of this run"
         " here\n"
-        "  --trace-categories STR  exec,svc,sim,comm,cli,bench,net"
-        " or all (default: all)\n"
+        "  --trace-categories STR  exec,svc,sim,comm,cli,bench,net,"
+        "model,opmodel,profiling or all (default: all)\n"
         "  --trace-format STR      trace file format: chrome|folded"
         " (default: chrome)\n");
 }

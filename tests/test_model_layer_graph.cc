@@ -5,6 +5,7 @@
 
 #include "model/layer_graph.hh"
 #include "model/zoo.hh"
+#include "test_common.hh"
 #include "util/logging.hh"
 
 namespace twocs::model {
@@ -165,6 +166,59 @@ TEST(LayerGraph, IterationCoversAllLayers)
     // Backward pass visits layers in reverse: the last backward op
     // belongs to layer 0.
     EXPECT_EQ(ops.back().layerIndex, 0);
+}
+
+TEST(LayerGraph, IterationOpsMatchLayerConcatenation)
+{
+    // The step walk emits exactly the per-micro-batch concatenation
+    // of forwardLayerOps()/backwardLayerOps() and the pipeline sends.
+    for (const test::GraphVariant &v : test::graphVariants()) {
+        SCOPED_TRACE(v.name);
+        const LayerGraphBuilder g = v.build();
+        const std::vector<TrainingOp> ops = g.iterationOps();
+        const std::vector<TrainingOp> want = test::concatIterationOps(g);
+        ASSERT_EQ(ops.size(), want.size());
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            const TrainingOp &a = ops[i];
+            const TrainingOp &b = want[i];
+            ASSERT_TRUE(a.role == b.role && a.subLayer == b.subLayer &&
+                        a.layerIndex == b.layerIndex &&
+                        a.kernel.kind == b.kernel.kind &&
+                        a.kernel.label == b.kernel.label &&
+                        a.kernel.precision == b.kernel.precision &&
+                        a.kernel.gemm.m == b.kernel.gemm.m &&
+                        a.kernel.gemm.n == b.kernel.gemm.n &&
+                        a.kernel.gemm.k == b.kernel.gemm.k &&
+                        a.kernel.elems == b.kernel.elems &&
+                        a.commBytes == b.commBytes)
+                << "op " << i << " (" << a.kernel.label << " vs "
+                << b.kernel.label << ")";
+        }
+    }
+}
+
+TEST(LayerGraph, StepWalkVisitsEveryBlockOnce)
+{
+    ParallelPlan par;
+    par.ppDegree = 4;
+    par.microBatches = 3;
+    const LayerGraphBuilder g(bertLarge(), par);
+    std::map<IterationStep, int> steps;
+    std::vector<int> backward_layers;
+    g.forEachIterationStep([&](IterationStep step, int layer) {
+        ++steps[step];
+        if (step == IterationStep::BackwardFinal)
+            backward_layers.push_back(layer);
+    });
+    const int stage_layers = 24 / 4;
+    EXPECT_EQ(steps[IterationStep::Forward], 3 * stage_layers);
+    EXPECT_EQ(steps[IterationStep::BackwardAccumulate], 2 * stage_layers);
+    EXPECT_EQ(steps[IterationStep::BackwardFinal], stage_layers);
+    EXPECT_EQ(steps[IterationStep::PpSendFwd], 3);
+    EXPECT_EQ(steps[IterationStep::PpSendBwd], 3);
+    // The final micro-batch's backward runs the stage top-down.
+    EXPECT_EQ(backward_layers.front(), stage_layers - 1);
+    EXPECT_EQ(backward_layers.back(), 0);
 }
 
 TEST(LayerGraph, LabelsAreUniqueWithinLayer)

@@ -186,6 +186,20 @@ TEST(ObsTracer, CategoryListParsing)
                   static_cast<unsigned>(obs::Category::Svc));
     EXPECT_EQ(obs::categoryMaskFromList("sim"),
               static_cast<unsigned>(obs::Category::Sim));
+    EXPECT_EQ(obs::categoryMaskFromList("model,opmodel,profiling"),
+              static_cast<unsigned>(obs::Category::Model) |
+                  static_cast<unsigned>(obs::Category::Opmodel) |
+                  static_cast<unsigned>(obs::Category::Profiling));
+    for (const obs::Category c :
+         { obs::Category::Exec, obs::Category::Svc, obs::Category::Sim,
+           obs::Category::Comm, obs::Category::Cli, obs::Category::Bench,
+           obs::Category::Net, obs::Category::Model,
+           obs::Category::Opmodel, obs::Category::Profiling }) {
+        // Every category round-trips through its name and is in "all".
+        EXPECT_EQ(obs::categoryMaskFromList(obs::categoryName(c)),
+                  static_cast<unsigned>(c));
+        EXPECT_NE(obs::kAllCategories & static_cast<unsigned>(c), 0u);
+    }
     EXPECT_THROW(obs::categoryMaskFromList("exec,typo"), FatalError);
     EXPECT_THROW(obs::categoryMaskFromList(""), FatalError);
 }
@@ -398,6 +412,56 @@ TEST(ObsDeterminism, OneTraceCoversExecSvcSimAndComm)
     std::ostringstream os;
     obs::writeChromeTrace(snap, os);
     json::validate(os.str());
+}
+
+TEST(ObsDeterminism, ProjectMissRecordsOneProjectionAndNoOpStream)
+{
+    // A project miss walks the iteration's layer blocks: one
+    // projection span below svc.evaluate, and no full op stream.
+    TracerGuard guard;
+    svc::QueryService service;
+    // Warm the calibrated system entry so only the miss is traced.
+    service.handle("{\"kind\": \"project\", \"hidden\": 1024}");
+    obs::Tracer::reset();
+    obs::Tracer::enable();
+    service.handle(
+        "{\"kind\": \"project\", \"hidden\": 8192, \"tp\": 8}");
+    obs::Tracer::disable();
+
+    const obs::TraceSnapshot snap = obs::Tracer::snapshot();
+    std::vector<obs::SpanRecord> projections;
+    for (const obs::SpanRecord &s : snap.spans) {
+        EXPECT_NE(s.label, "model.iteration_ops") << s.path;
+        if (s.label == "opmodel.project_iteration")
+            projections.push_back(s);
+    }
+    ASSERT_EQ(projections.size(), 1u);
+    EXPECT_EQ(projections[0].category, obs::Category::Opmodel);
+    EXPECT_NE(projections[0].path.find("svc.evaluate;"),
+              std::string::npos)
+        << projections[0].path;
+    // BERT-Large: 24 forward + 24 backward blocks, 696 ops.
+    EXPECT_EQ(projections[0].args.rfind("ops=696 blocks=48 ", 0), 0u)
+        << projections[0].args;
+}
+
+TEST(ObsDeterminism, GroundTruthProfilesTheFullOpStream)
+{
+    TracerGuard guard;
+    obs::Tracer::reset();
+    obs::Tracer::enable();
+    svc::QueryService service;
+    service.handle("{\"kind\": \"project\", \"hidden\": 8192, "
+                   "\"tp\": 8, \"ground_truth\": true}");
+    obs::Tracer::disable();
+
+    const auto counts = obs::Tracer::countsByLabel(
+        static_cast<unsigned>(obs::Category::Model) |
+        static_cast<unsigned>(obs::Category::Profiling) |
+        static_cast<unsigned>(obs::Category::Opmodel));
+    EXPECT_EQ(counts.at("profiling.profile_iteration"), 1u);
+    EXPECT_EQ(counts.at("model.iteration_ops"), 1u);
+    EXPECT_EQ(counts.count("opmodel.project_iteration"), 0u);
 }
 
 TEST(ObsDeterminism, ServeStatsSpanSectionIsJobsInvariant)

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+
+#include "core/amdahl.hh"
+#include "core/sweep.hh"
 #include "opmodel/accuracy.hh"
 #include "opmodel/operator_model.hh"
 #include "test_common.hh"
@@ -113,6 +119,126 @@ TEST(OperatorModel, ProjectIterationAggregatesRoles)
     EXPECT_GT(pb.serializedCommFraction(), 0.0);
     EXPECT_LT(pb.serializedCommFraction(), 1.0);
 }
+
+/** Bit-for-bit equality of two breakdowns (NaN- and -0-exact). */
+::testing::AssertionResult
+bitIdentical(const ProjectedBreakdown &a, const ProjectedBreakdown &b)
+{
+    if (std::memcmp(&a, &b, sizeof a) == 0)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << std::hexfloat << "fwd " << a.fwdCompute << " vs "
+           << b.fwdCompute << ", bwd " << a.bwdCompute << " vs "
+           << b.bwdCompute << ", optim " << a.optimizer << " vs "
+           << b.optimizer << ", serialized " << a.serializedComm
+           << " vs " << b.serializedComm << ", dp " << a.dpComm
+           << " vs " << b.dpComm;
+}
+
+TEST(OperatorModel, ProjectIterationIsBitIdenticalToOpByOp)
+{
+    // Each variant projects against a BERT-Large baseline built with
+    // its own element-wise fusion and recompute flags (and experts,
+    // for MoE targets), so every label it emits has a baseline.
+    const auto profiler = twocs::test::paperSystem().profiler();
+    for (const twocs::test::GraphVariant &v :
+         twocs::test::graphVariants()) {
+        SCOPED_TRACE(v.name);
+        twocs::test::GraphVariant base{
+            "baseline",
+            v.hp.moe.enabled()
+                ? model::bertLarge().withMoe(v.hp.moe.numExperts)
+                : model::bertLarge(),
+            {}, v.fused, v.recompute
+        };
+        const OperatorScalingModel m =
+            OperatorScalingModel::calibrate(profiler, base.build());
+        const model::LayerGraphBuilder g = v.build();
+        EXPECT_TRUE(bitIdentical(m.projectIteration(g),
+                                 twocs::test::projectOpByOp(m, g)));
+    }
+}
+
+TEST(OperatorModel, ProjectIterationFailsOnTheSameFirstOp)
+{
+    // A dense baseline has no router or recompute baselines: the
+    // walk must stop at the op the op-by-op loop stops at.
+    const OperatorScalingModel m = calibrated();
+    for (const twocs::test::GraphVariant &v :
+         twocs::test::graphVariants()) {
+        if (!v.hp.moe.enabled() && !v.recompute)
+            continue;
+        SCOPED_TRACE(v.name);
+        const model::LayerGraphBuilder g = v.build();
+        std::string want, got;
+        try {
+            twocs::test::projectOpByOp(m, g);
+        } catch (const FatalError &e) {
+            want = e.what();
+        }
+        try {
+            m.projectIteration(g);
+        } catch (const FatalError &e) {
+            got = e.what();
+        }
+        EXPECT_NE(want, "");
+        EXPECT_EQ(got, want);
+    }
+}
+
+/** (pp, micro) pairs of the table3 x 3D-plan byte-identity grid. */
+class ProjectIterationGrid
+    : public ::testing::TestWithParam<std::pair<int, int>>
+{
+};
+
+TEST_P(ProjectIterationGrid, BitIdenticalToOpByOpOverTable3)
+{
+    // Every table3 (H, B, SL, TP) point under ZeRO 0-3 at dp = 2,
+    // built the way AmdahlAnalysis::evaluate() builds it.
+    const core::AmdahlAnalysis amdahl(twocs::test::paperSystem(),
+                                      model::bertLarge());
+    const core::SweepSpace space = core::table3();
+    const auto [pp, micro] = GetParam();
+    int checked = 0;
+    for (const std::int64_t h : space.hiddens) {
+        for (const std::int64_t b : space.batches) {
+            for (const std::int64_t sl : space.seqLens) {
+                for (const std::int64_t tp : space.tpDegrees) {
+                    for (int zero = 0; zero <= 3; ++zero) {
+                        model::ParallelPlan plan;
+                        plan.tpDegree = static_cast<int>(tp);
+                        plan.ppDegree = pp;
+                        plan.microBatches = micro;
+                        plan.dpDegree = 2;
+                        plan.zeroStage = zero;
+                        const model::LayerGraphBuilder g =
+                            amdahl.makeGraph(h, sl, b, plan);
+                        ASSERT_TRUE(bitIdentical(
+                            amdahl.scalingModel().projectIteration(g),
+                            twocs::test::projectOpByOp(
+                                amdahl.scalingModel(), g)))
+                            << "H=" << h << " B=" << b << " SL=" << sl
+                            << " " << plan.summary();
+                        ++checked;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 7 * 2 * 4 * 7 * 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PipelinePlans, ProjectIterationGrid,
+    ::testing::Values(std::pair{ 1, 1 }, std::pair{ 2, 1 },
+                      std::pair{ 2, 3 }, std::pair{ 2, 8 },
+                      std::pair{ 4, 1 }, std::pair{ 4, 3 },
+                      std::pair{ 4, 8 }),
+    [](const auto &info) {
+        return "pp" + std::to_string(info.param.first) + "_micro" +
+               std::to_string(info.param.second);
+    });
 
 TEST(OperatorModel, AllReduceBaselineRecorded)
 {
