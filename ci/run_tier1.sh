@@ -33,6 +33,10 @@
 #                 (model engine) and `twocs serve` over
 #                 ci/serve_project.jsonl must reproduce the committed
 #                 ci/golden/ files byte for byte at `--jobs 1` and 4.
+#      cluster goldens — jittered `twocs cluster --trials` runs (default
+#                 group, --tp 4, --passes fuse,dce, a 3D plan) must
+#                 reproduce ci/golden/cluster_*.txt at `--jobs 1` and 4,
+#                 and a non-finite or overflowing --jitter must fail.
 #   6. serve determinism — a fixed mixed request stream
 #                 (ci/serve_mixed.jsonl) must get byte-identical
 #                 responses at `--jobs 1` and `--jobs 4`, at
@@ -158,6 +162,26 @@ for n in 8 7; do
     [ "$("${twocs}" cluster --trials "${n}" ${cluster_flags} --jobs 1)" \
         = "$("${twocs}" cluster --trials "${n}" ${cluster_flags} \
             --jobs 4)" ]
+done
+# Committed outputs of the glibc-drawn trials: the portable noise
+# kernels may move only bits below the printed precision.
+for j in 1 4; do
+    "${twocs}" cluster --jitter 0.05 --trials 64 --jobs "${j}" \
+        | cmp ci/golden/cluster_default.txt -
+    "${twocs}" cluster --jitter 0.2 --trials 15 --tp 4 --jobs "${j}" \
+        | cmp ci/golden/cluster_tp4.txt -
+    "${twocs}" cluster --jitter 0.05 --trials 16 --passes fuse,dce \
+        --jobs "${j}" | cmp ci/golden/cluster_passes.txt -
+    "${twocs}" cluster --jitter 0.05 --trials 16 \
+        --parallel tp=8,pp=2,dp=2,zero=1 --jobs "${j}" \
+        | cmp ci/golden/cluster_parallel.txt -
+done
+# A jitter that is not finite or whose sigma overflows is an error.
+for bad in nan inf 1e200; do
+    if "${twocs}" cluster --jitter "${bad}" > /dev/null 2>&1; then
+        echo "cluster accepted --jitter ${bad}"
+        exit 1
+    fi
 done
 # There is one trial engine: the old selector and lane width are gone.
 for flag in --engine --lanes; do

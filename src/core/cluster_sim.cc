@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "comm/ring_sim.hh"
@@ -23,7 +25,11 @@ validateConfig(const ClusterSimConfig &config)
     fatalIf(config.tpDegree < 2,
             "cluster simulation needs a TP group of >= 2");
     fatalIf(config.numLayers < 1, "need at least one layer");
-    fatalIf(config.computeJitter < 0.0, "jitter must be >= 0");
+    const double jitter = config.computeJitter;
+    fatalIf(!(jitter >= 0.0) || std::isinf(jitter),
+            "jitter must be a finite fraction >= 0, got ", jitter);
+    fatalIf(std::isinf(jitter * jitter), "jitter ", jitter,
+            " is too large: its log-normal sigma overflows");
 }
 
 /** Resource ids of device d's streams: buildIteration() registers
@@ -76,6 +82,16 @@ buildIteration(const ClusterSimConfig &config,
     }
 
     std::vector<sim::TaskId> last(p, sim::InvalidTask);
+    // Ring steps alternate between two buffers that live for the
+    // whole build; deps go through a stack span, so adding a task
+    // allocates nothing here.
+    std::vector<sim::TaskId> prev(p), cur(p);
+    sim::TaskId deps[2];
+    const auto after = [&](sim::TaskId a) {
+        const std::size_t n = a != sim::InvalidTask ? 1 : 0;
+        deps[0] = a;
+        return std::span<const sim::TaskId>(deps, n);
+    };
 
     for (const model::TrainingOp &op : graph.iterationOps()) {
         if (op.isComm()) {
@@ -91,11 +107,8 @@ buildIteration(const ClusterSimConfig &config,
                     coll.cost(profiling::collectiveDescFor(op, par))
                         .total;
                 for (int d = 0; d < p; ++d) {
-                    std::vector<sim::TaskId> deps;
-                    if (last[d] != sim::InvalidTask)
-                        deps.push_back(last[d]);
                     last[d] = des.addTask(op.kernel.label, "plan_coll",
-                                          comm[d], dur, deps);
+                                          comm[d], dur, after(last[d]));
                 }
                 continue;
             }
@@ -106,22 +119,22 @@ buildIteration(const ClusterSimConfig &config,
                 topo, op.commBytes, p, config.system.linkEfficiency);
             const int steps = 2 * (p - 1);
 
-            std::vector<sim::TaskId> prev = last;
+            prev = last;
             for (int s = 0; s < steps; ++s) {
-                std::vector<sim::TaskId> cur(p);
                 for (int d = 0; d < p; ++d) {
-                    std::vector<sim::TaskId> deps;
+                    std::size_t n = 0;
                     if (prev[d] != sim::InvalidTask)
-                        deps.push_back(prev[d]);
+                        deps[n++] = prev[d];
                     const int upstream = (d + p - 1) % p;
                     if (prev[upstream] != sim::InvalidTask)
-                        deps.push_back(prev[upstream]);
-                    cur[d] = des.addTask(op.kernel.label, "ring_step",
-                                         comm[d], step_time, deps);
+                        deps[n++] = prev[upstream];
+                    cur[d] = des.addTask(
+                        op.kernel.label, "ring_step", comm[d], step_time,
+                        std::span<const sim::TaskId>(deps, n));
                 }
-                prev = std::move(cur);
+                prev.swap(cur);
             }
-            last = std::move(prev);
+            last.swap(prev);
         } else {
             const Seconds base = kernels.cost(op.kernel);
             for (int d = 0; d < p; ++d) {
@@ -129,11 +142,8 @@ buildIteration(const ClusterSimConfig &config,
                     rng != nullptr
                         ? base * rng->noiseFactor(config.computeJitter)
                         : base;
-                std::vector<sim::TaskId> deps;
-                if (last[d] != sim::InvalidTask)
-                    deps.push_back(last[d]);
                 last[d] = des.addTask(op.kernel.label, "compute",
-                                      compute[d], dur, deps);
+                                      compute[d], dur, after(last[d]));
             }
         }
     }
@@ -160,15 +170,6 @@ aggregate(Seconds makespan, int p, BusyFn &&busy)
     if (r.stallTimePerDevice < 0.0)
         r.stallTimePerDevice = 0.0;
     return r;
-}
-
-/** One Rng per lane, lane l seeded for trial `first + l`. */
-template <std::size_t... L>
-std::array<Rng, sizeof...(L)>
-laneRngs(std::uint64_t seed, std::uint64_t first,
-         std::index_sequence<L...>)
-{
-    return { Rng(splitmixSeed(seed, first + L))... };
 }
 
 } // namespace
@@ -273,6 +274,7 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
     const int p = config.tpDegree;
 
     constexpr std::size_t W = sim::LaneWidth;
+    static_assert(W == LaneRng::Lanes, "one LaneRng lane per replay lane");
     using Block = std::array<ClusterSimResult, W>;
     const std::size_t trials = static_cast<std::size_t>(num_trials);
     std::vector<std::size_t> blocks((trials + W - 1) / W);
@@ -289,11 +291,11 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
             const std::size_t lanes = std::min(W, trials - first);
             // Trial i is seeded splitmixSeed(config.seed, i):
             // config.seed + i would make base seeds s and s + 1
-            // share almost all of their trial streams. Each lane
-            // draws its trial's stream in task order — run()'s exact
-            // draws — and spare tail lanes draw nothing.
-            std::array<Rng, W> rng =
-                laneRngs(config.seed, first, std::make_index_sequence<W>());
+            // share almost all of their trial streams. Lane l draws
+            // trial first + l's stream in task order — run()'s exact
+            // draws — and spare tail lanes draw a stream no trial
+            // reads.
+            LaneRng rng(config.seed, first);
             // One arena per worker thread, recycled across runTrials
             // calls with different graphs: the explicit rebind
             // opt-in.
@@ -302,11 +304,13 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
             sim::replayLanes(
                 *graph, scratch,
                 [&](std::size_t i, Seconds(&dur)[W]) {
-                    for (std::size_t l = 0; l < W; ++l)
-                        dur[l] = base[i];
                     if (tags[i] == compute_tag) {
-                        for (std::size_t l = 0; l < lanes; ++l)
-                            dur[l] = base[i] * rng[l].noiseFactor(jitter);
+                        rng.noiseFactors(jitter, dur);
+                        for (std::size_t l = 0; l < W; ++l)
+                            dur[l] *= base[i];
+                    } else {
+                        for (std::size_t l = 0; l < W; ++l)
+                            dur[l] = base[i];
                     }
                 });
             Block results;

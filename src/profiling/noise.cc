@@ -7,7 +7,7 @@ namespace twocs::profiling {
 NoiseModel::NoiseModel(double rel_stddev, std::uint64_t seed)
     : relStddev_(rel_stddev), rng_(seed)
 {
-    fatalIf(rel_stddev < 0.0, "noise stddev must be >= 0");
+    noiseSigma(rel_stddev); // rejects a stddev no draw could use
 }
 
 Profile

@@ -72,9 +72,10 @@ template <typename DurationRow>
 void replayLanes(const GraphTemplate &graph, LaneScratch &scratch,
                  DurationRow &&row);
 
-/** Trials one replayLanes() walk advances: four doubles, one AVX2
- *  register per lane row. Wider rows bought little over the jitter
- *  draws that dominate a trial and cost resident memory. */
+/** Trials one replayLanes() walk advances: four doubles per lane
+ *  row, two SSE2/NEON registers on the baseline build. It matches
+ *  util/rng's LaneRng, which draws a row's jitter in the same two
+ *  registers; wider rows bought little and cost resident memory. */
 inline constexpr std::size_t LaneWidth = 4;
 
 /**

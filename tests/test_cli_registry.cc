@@ -307,6 +307,26 @@ TEST(CliRegistry, SweepEngineFlagIsValidated)
                  FatalError);
 }
 
+TEST(CliRegistry, ClusterRejectsNonFiniteOrOverflowingJitter)
+{
+    // These once exited 0 with NaN stalls and a compute-free
+    // iteration; now each is a one-line diagnostic naming the jitter.
+    for (const char *bad : { "nan", "inf", "1e200" }) {
+        for (const char *trials : { "1", "4" }) {
+            try {
+                run({ "twocs", "cluster", "--jitter", bad, "--trials",
+                      trials },
+                    nullptr);
+                ADD_FAILURE() << "--jitter " << bad << " was accepted";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find("jitter"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 TEST(CliRegistry, StrayPositionalIsRejected)
 {
     std::string out, err;

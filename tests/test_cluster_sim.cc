@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/amdahl.hh"
 #include "core/cluster_sim.hh"
 #include "test_common.hh"
@@ -221,6 +224,25 @@ TEST(ClusterSim, Validation)
     cfg = smallConfig(4);
     cfg.computeJitter = -0.1;
     EXPECT_THROW(sim.run(cfg), FatalError);
+}
+
+TEST(ClusterSim, RejectsJitterThatIsNotFiniteOrOverflowsSigma)
+{
+    // NaN, inf and 1e200 (whose square overflows) once ran to a
+    // NaN stall and an iteration of communication alone.
+    ClusterSim sim;
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : { std::nan(""), inf, 1e200 }) {
+        ClusterSimConfig cfg = smallConfig(4);
+        cfg.computeJitter = bad;
+        EXPECT_THROW(sim.run(cfg), FatalError) << bad;
+        EXPECT_THROW(sim.runTrials(cfg, 2), FatalError) << bad;
+        EXPECT_THROW(sim.compileIteration(cfg), FatalError) << bad;
+    }
+    ClusterSimConfig huge = smallConfig(4, 1e150);
+    const ClusterSimResult r = sim.run(huge);
+    EXPECT_TRUE(std::isfinite(r.iterationTime));
+    EXPECT_TRUE(std::isfinite(r.stallTimePerDevice));
 }
 
 } // namespace
